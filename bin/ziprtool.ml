@@ -590,7 +590,8 @@ let batch_cmd =
       & info [ "cache-disk-entries" ] ~docv:"N"
           ~doc:
             "Bound the $(b,--cache) directory to N entry files; after each store the \
-             oldest entries are pruned. Unbounded by default.")
+             oldest entries are pruned. With $(b,--delta) the fragment store under \
+             DIR/delta is bounded separately to N files. Unbounded by default.")
   in
   let cache_disk_bytes =
     Arg.(
@@ -599,7 +600,8 @@ let batch_cmd =
       & info [ "cache-disk-bytes" ] ~docv:"BYTES"
           ~doc:
             "Bound the $(b,--cache) directory's total size; after each store the oldest \
-             entries are pruned until it fits. Unbounded by default.")
+             entries are pruned until it fits. With $(b,--delta) the fragment store under \
+             DIR/delta is bounded separately. Unbounded by default.")
   in
   let trace =
     Arg.(
@@ -667,7 +669,7 @@ let batch_cmd =
             Some
               (Zipr.Delta.create
                  ?dir:(Option.map (fun d -> Filename.concat d "delta") cache_dir)
-                 ())
+                 ?max_disk_entries:disk_entries ?max_disk_bytes:disk_bytes ())
           else None
         in
         let report =
@@ -749,33 +751,50 @@ let serve_cmd =
       & info [ "max-request-bytes" ] ~docv:"B" ~doc:"Reject larger request payloads.")
   in
   let cache_entries =
-    Arg.(value & opt int 256 & info [ "cache-entries" ] ~docv:"N" ~doc:"IR cache entry cap.")
+    Arg.(
+      value & opt int 256
+      & info [ "cache-entries" ] ~docv:"N"
+          ~doc:
+            "IR cache entry cap. With $(b,--delta) it is also the only bound on the \
+             whole-IR memo that serves repeated binaries.")
   in
   let cache_bytes =
     Arg.(
       value
       & opt int (64 * 1024 * 1024)
-      & info [ "cache-bytes" ] ~docv:"B" ~doc:"IR cache resident-byte budget (LRU eviction).")
+      & info [ "cache-bytes" ] ~docv:"B"
+          ~doc:
+            "IR cache resident-byte budget (LRU eviction). With $(b,--delta) it bounds \
+             the routine fragments; the whole-IR memo has no byte budget, only the \
+             $(b,--cache-entries) cap.")
   in
   let cache_dir =
     Arg.(
       value
       & opt (some string) None
-      & info [ "cache" ] ~docv:"DIR" ~doc:"Spill the shared IR cache to this directory.")
+      & info [ "cache" ] ~docv:"DIR"
+          ~doc:
+            "Spill the shared IR cache to this directory. With $(b,--delta) routine \
+             fragments persist under DIR/delta, and the IR cache serves only as this \
+             persistent tier.")
   in
   let cache_disk_entries =
     Arg.(
       value
       & opt (some int) None
       & info [ "cache-disk-entries" ] ~docv:"N"
-          ~doc:"Bound the $(b,--cache) directory to N entry files (oldest pruned).")
+          ~doc:
+            "Bound each store under the $(b,--cache) directory to N entry files (oldest \
+             pruned).")
   in
   let cache_disk_bytes =
     Arg.(
       value
       & opt (some int) None
       & info [ "cache-disk-bytes" ] ~docv:"BYTES"
-          ~doc:"Bound the $(b,--cache) directory's total size (oldest entries pruned).")
+          ~doc:
+            "Bound each store under the $(b,--cache) directory to this total size \
+             (oldest entries pruned).")
   in
   let delta =
     Arg.(
@@ -784,7 +803,9 @@ let serve_cmd =
           ~doc:
             "Enable the shared routine-granular delta cache: requests whose binaries \
              share routines with earlier requests stitch cached per-routine IR \
-             fragments instead of rebuilding from scratch.")
+             fragments instead of rebuilding from scratch, and repeated binaries are \
+             answered from a whole-IR memo bounded by $(b,--cache-entries) only (no \
+             byte budget).")
   in
   let trace =
     Arg.(

@@ -149,26 +149,33 @@ let decode_fragment s =
 let weigh_fragment f = 64 + (56 * Array.length f.boundaries)
 
 (* A resident memo entry holds the whole IR: rows, links, the aggregate's
-   per-byte verdict array and boundary table, the pin list.  A rough
-   per-row and per-text-byte estimate is enough for the byte budget's
-   purpose (bounding growth, not accounting to the byte). *)
+   per-byte verdict array and boundary table, the pin list.  The memo is
+   bounded by entry count only; this rough per-row and per-text-byte
+   estimate feeds its [delta.memo.resident_bytes] gauge. *)
 let weigh_memo ((ir : Ir_construction.t), _) =
   1024 + (3 * ir.Ir_construction.aggregate.Agg.len) + (160 * Db.count ir.Ir_construction.db)
 
-let create ?(fragment_capacity = 65536) ?fragment_bytes ?(memo_capacity = 64)
-    ?memo_bytes ?dir () =
+let create ?fragment_bytes ?(memo_capacity = 64) ?dir ?max_disk_entries ?max_disk_bytes
+    () =
   let disk =
     Option.map
-      (fun dir -> { Rcache.dir; encode = encode_fragment; decode = decode_fragment })
+      (fun dir ->
+        {
+          Rcache.dir;
+          ext = ".zirr";
+          tag = "ZIRRC1";
+          encode = encode_fragment;
+          decode = decode_fragment;
+          max_entries = max_disk_entries;
+          max_bytes = max_disk_bytes;
+        })
       dir
   in
   {
     fragments =
-      Rcache.create ~capacity:fragment_capacity ?max_bytes:fragment_bytes ?disk
-        ~name:"delta.frag" ~weigh:weigh_fragment ();
-    memo =
-      Rcache.create ~capacity:memo_capacity ?max_bytes:memo_bytes
-        ~name:"delta.memo" ~weigh:weigh_memo ();
+      Rcache.create ~capacity:65536 ?max_bytes:fragment_bytes ?disk ~name:"delta.frag"
+        ~weigh:weigh_fragment ();
+    memo = Rcache.create ~capacity:memo_capacity ~name:"delta.memo" ~weigh:weigh_memo ();
   }
 
 (* ---------- keys ---------- *)
@@ -349,5 +356,4 @@ let harvest t (o : outcome) (ir : Ir_construction.t) =
 
 let fragment_entries t = Rcache.mem_entries t.fragments
 let fragment_bytes t = Rcache.resident_bytes t.fragments
-let fragment_evictions t = Rcache.evictions t.fragments
 let memo_entries t = Rcache.mem_entries t.memo

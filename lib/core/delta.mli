@@ -23,17 +23,20 @@
 type t
 
 val create :
-  ?fragment_capacity:int ->
   ?fragment_bytes:int ->
   ?memo_capacity:int ->
-  ?memo_bytes:int ->
   ?dir:string ->
+  ?max_disk_entries:int ->
+  ?max_disk_bytes:int ->
   unit ->
   t
-(** Defaults: 65536 fragment entries / 64 memo entries, no byte budgets,
-    no disk layer.  [dir] persists fragments on disk (atomic framed
-    writes; corruption reads back as a miss).  Safe to share across
-    domains. *)
+(** Fragments: at most 65536 entries and, with [fragment_bytes], that
+    many resident bytes.  The whole-IR memo: at most [memo_capacity]
+    entries (default 64) and no byte budget.  [dir] persists fragments
+    on disk as [.zirr] files (atomic framed writes; corruption reads
+    back as a miss); [max_disk_entries] / [max_disk_bytes] bound that
+    directory, oldest entry first, as for {!Irdb.Cache.create}.  The
+    memo is memory-only.  Safe to share across domains. *)
 
 type key_set
 (** Precomputed key material for one binary (chunking, per-chunk keys,
@@ -69,5 +72,4 @@ val harvest : t -> outcome -> Ir_construction.t -> unit
 
 val fragment_entries : t -> int
 val fragment_bytes : t -> int
-val fragment_evictions : t -> int
 val memo_entries : t -> int

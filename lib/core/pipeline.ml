@@ -89,70 +89,71 @@ let ir_cache_key ~pin_config ~infer binary =
       Bytes.to_string (Zelf.Binary.serialize binary);
     ]
 
-(* IR acquisition: a cache hit restores the snapshot (skipping
-   disassembly, pin analysis and IR build); a miss — or a payload the
-   codec rejects — builds cold and (re)publishes the snapshot.  Either
-   way [ir_construction_s] times whichever path actually ran.
+(* IR acquisition, in order:
 
-   With [ir_jobs > 1], a cold build first tries the domain-parallel
-   chunked construction ({!Par_ir}); when its stitch validation
-   declines, the serial cold build runs instead and the fallback is
-   counted — outputs are byte-identical on both paths, so the snapshot
-   cache key does not depend on [ir_jobs]. *)
-let obtain_snapshot_ir ?ir_cache ?(ir_jobs = 1) ?(infer = false) ~pin_config binary =
-  let par_builds = ref 0 and par_fallbacks = ref 0 in
-  let build_ir () =
-    if ir_jobs > 1 then
-      match Par_ir.build ~jobs:ir_jobs ~pin_config ~infer binary with
-      | Some ir ->
-          incr par_builds;
-          Obs.count "pipeline.par_builds" 1;
-          ir
-      | None ->
-          incr par_fallbacks;
-          Obs.count "pipeline.par_fallbacks" 1;
-          Ir_construction.build ~pin_config ~infer binary
-    else Ir_construction.build ~pin_config ~infer binary
+   - with a routine cache, the delta path ({!Delta.obtain}: whole-IR memo
+     hit, or a validated routine-granular stitch);
+   - the snapshot cache: a hit restores the snapshot; a miss — or a
+     payload the codec rejects — builds cold and (re)publishes it.  Under
+     a routine cache only a snapshot cache with a disk directory takes
+     part: in memory the memo already holds every whole IR it could, so
+     it would be written and never read;
+   - a cold build.  Whatever the routine cache declined is harvested
+     back into it before any transform can touch the IR.
+
+   With [ir_jobs > 1] a cold build first tries the domain-parallel
+   chunked construction ({!Par_ir}), falling back to the serial build
+   (counted) when its stitch validation declines.  Outputs are
+   byte-identical on every path, so no cache key depends on [ir_jobs].
+   [ir_construction_s] times whichever path actually ran. *)
+let obtain_ir ?ir_cache ?routine_cache ?(ir_jobs = 1) ?(infer = false) ~pin_config binary =
+  let build () =
+    timed (fun () ->
+        Obs.span "ir" ~args:[ ("source", "build") ] (fun () ->
+            if ir_jobs <= 1 then
+              (Ir_construction.build ~pin_config ~infer binary, zero_cache_stats)
+            else
+              match Par_ir.build ~jobs:ir_jobs ~pin_config ~infer binary with
+              | Some ir ->
+                  Obs.count "pipeline.par_builds" 1;
+                  (ir, { zero_cache_stats with par_builds = 1 })
+              | None ->
+                  Obs.count "pipeline.par_fallbacks" 1;
+                  ( Ir_construction.build ~pin_config ~infer binary,
+                    { zero_cache_stats with par_fallbacks = 1 } )))
   in
-  let build ~source () =
-    timed (fun () -> Obs.span "ir" ~args:[ ("source", source) ] build_ir)
-  in
-  let par_stats s =
-    { s with par_builds = !par_builds; par_fallbacks = !par_fallbacks }
-  in
-  match ir_cache with
-  | None ->
-      let ir, t = build ~source:"build" () in
-      (ir, t, par_stats zero_cache_stats)
-  | Some cache -> (
-      let key = ir_cache_key ~pin_config ~infer binary in
-      let build_and_store () =
-        let ir, t = build ~source:"build" () in
-        Irdb.Cache.store cache ~key (Ir_construction.snapshot ir);
-        Obs.count "pipeline.ir_cache_misses" 1;
-        (ir, t, par_stats { zero_cache_stats with ir_cache_misses = 1 })
-      in
-      match Irdb.Cache.find cache key with
-      | None -> build_and_store ()
-      | Some payload -> (
+  let from_snapshots cache =
+    let key = ir_cache_key ~pin_config ~infer binary in
+    let restored =
+      Option.bind (Irdb.Cache.find cache key) (fun payload ->
           match
             timed (fun () ->
                 Obs.span "ir" ~args:[ ("source", "cache") ] (fun () ->
                     Ir_construction.restore binary payload))
           with
-          | Ok ir, t ->
-              Obs.count "pipeline.ir_cache_hits" 1;
-              (ir, t, { zero_cache_stats with ir_cache_hits = 1 })
-          | Error _, _ -> build_and_store ()))
-
-(* Full IR acquisition.  With a routine cache, the delta path goes first
-   (memo hit, or a routine-granular stitch when enough fragments hit and
-   the composition validates); when it declines, the snapshot cache and
-   cold build take over as before, and the result is harvested back into
-   the routine cache — before any transform can touch it. *)
-let obtain_ir ?ir_cache ?routine_cache ?ir_jobs ?(infer = false) ~pin_config binary =
+          | Ok ir, t -> Some (ir, t)
+          | Error _, _ -> None)
+    in
+    match restored with
+    | Some (ir, t) ->
+        Obs.count "pipeline.ir_cache_hits" 1;
+        ((ir, { zero_cache_stats with ir_cache_hits = 1 }), t)
+    | None ->
+        let (ir, stats), t = build () in
+        Irdb.Cache.store cache ~key (Ir_construction.snapshot ir);
+        Obs.count "pipeline.ir_cache_misses" 1;
+        ((ir, { stats with ir_cache_misses = 1 }), t)
+  in
+  let acquire () =
+    match ir_cache with
+    | Some cache when Option.is_none routine_cache || Irdb.Cache.dir cache <> None ->
+        from_snapshots cache
+    | _ -> build ()
+  in
   match routine_cache with
-  | None -> obtain_snapshot_ir ?ir_cache ?ir_jobs ~infer ~pin_config binary
+  | None ->
+      let (ir, stats), t = acquire () in
+      (ir, t, stats)
   | Some dc -> (
       let outcome, t0 =
         timed (fun () ->
@@ -170,11 +171,9 @@ let obtain_ir ?ir_cache ?routine_cache ?ir_jobs ?(infer = false) ~pin_config bin
       match outcome.Delta.ir with
       | Some ir -> (ir, t0, dstats)
       | None ->
-          let ir, t1, cstats =
-            obtain_snapshot_ir ?ir_cache ?ir_jobs ~infer ~pin_config binary
-          in
+          let (ir, stats), t1 = acquire () in
           Delta.harvest dc outcome ir;
-          (ir, t0 +. t1, add_cache_stats dstats cstats))
+          (ir, t0 +. t1, add_cache_stats dstats stats))
 
 (* Per-transform spans want a computed name ("transform:cfi"); build the
    string only when a sink is installed so the default path keeps

@@ -58,7 +58,8 @@ type cache_stats = {
           cold build ran instead — slower, byte-identical) *)
 }
 (** Per-rewrite cache outcome.  [ir_cache_*] report the snapshot cache
-    (at most one of the two is 1, both 0 when no cache was supplied);
+    (at most one of the two is 1, both 0 when no cache was supplied or
+    it took no part, see {!rewrite});
     the [routine_*] and [delta_builds] fields report the routine-granular
     delta cache; [par_*] report the {!config.ir_jobs} parallel IR path.
     Aggregated over a corpus with {!add_cache_stats}. *)
@@ -104,8 +105,12 @@ val rewrite :
     With [routine_cache], the routine-granular delta path ({!Delta}) is
     consulted first: a whole-binary memo hit or a validated stitch of
     cached routine fragments replaces IR construction entirely, and any
-    cold build is harvested back into the cache.  Outputs are
-    byte-identical to the uncached pipeline either way. *)
+    snapshot restore or cold build is harvested back into the cache.
+    The memo is then the only in-memory whole-IR store: an [ir_cache]
+    takes part only as a persistent tier, i.e. when it has a disk
+    directory ({!Irdb.Cache.dir}); a memory-only one is neither
+    consulted nor written.  Outputs are byte-identical to the uncached
+    pipeline either way. *)
 
 val try_rewrite :
   ?config:config ->

@@ -9,12 +9,14 @@
     them, so a stale entry is structurally unreachable rather than merely
     invalidated.
 
-    The store is a mutex-protected in-memory LRU with an optional on-disk
-    layer ([ziprtool batch --cache DIR]).  Disk entries embed their own
-    key, so corruption or renaming reads back as a miss, never as a wrong
-    payload; writes go through a temp file + atomic rename, so concurrent
-    domains racing on one key each publish a complete entry.  All
-    operations are safe to call from multiple domains sharing one [t]. *)
+    The store is an {!Rcache} over strings: a mutex-protected in-memory
+    LRU with an optional on-disk layer ([ziprtool batch --cache DIR]) of
+    [.zirc] files framed as [ZIRCACHE1 <key>].  Disk entries embed their
+    own key, so corruption or renaming reads back as a miss, never as a
+    wrong payload; writes go through a temp file + atomic rename, so
+    concurrent domains racing on one key each publish a complete entry.
+    All operations are safe to call from multiple domains sharing one
+    [t].  Obs counters: [irdb.cache.*] (see {!Rcache.create}). *)
 
 type t
 

@@ -1,24 +1,42 @@
-(* A mutex-protected, byte-budgeted LRU over structured (in-memory)
-   payloads — the storage layer behind the routine-granular IR cache.
+(* A mutex-protected, byte-budgeted LRU with an optional bounded disk
+   layer — the one store behind every IR cache in the tree.
 
-   {!Cache} stores serialized strings; restoring a whole-binary snapshot
-   through a codec costs a large fraction of a cold build (string parse +
-   IRDB deserialize).  The delta path instead caches {e structured}
-   fragments and assembled IR and shares them by reference, so a hit
-   costs a hashtable probe, not a parse.  Payload type is a parameter;
-   the caller supplies a [weigh] function (approximate resident bytes)
-   for the byte budget, and optionally a serializer pair to enable a disk
-   layer (atomic temp-file + rename, self-keyed framing, same discipline
-   as {!Cache}). *)
+   Payload type is a parameter: {!Cache} instantiates it at [string]
+   (serialized IR snapshots); the delta path at structured fragments and
+   assembled IR, shared by reference so a hit costs a hashtable probe,
+   not a parse.  The caller supplies a [weigh] function (approximate
+   resident bytes) for the byte budget, and optionally a disk layer: a
+   codec pair, an entry-file extension and a header tag.  Disk writes
+   go through a temp file + atomic rename; every entry embeds its own
+   key behind the tag, so corruption or renaming reads back as a miss,
+   never as a wrong payload. *)
 
 type 'a disk = {
   dir : string;
+  ext : string;
+  tag : string;
   encode : 'a -> string;
   decode : string -> 'a option;
+  max_entries : int option;
+  max_bytes : int option;
+}
+
+(* Obs counter names, built once so the disabled path stays
+   allocation-free. *)
+type names = {
+  lookups : string;
+  mem_hits : string;
+  disk_hits : string;
+  misses : string;
+  stores : string;
+  evictions : string;
+  oversize_skips : string;
+  resident_bytes : string;
+  disk_evictions : string;
 }
 
 type 'a t = {
-  name : string;  (* obs counter prefix, e.g. "delta.frag" *)
+  names : names;
   capacity : int;
   max_bytes : int option;
   weigh : 'a -> int;
@@ -27,22 +45,44 @@ type 'a t = {
   entries : (string, 'a) Hashtbl.t;
   last_use : (string, int) Hashtbl.t;
   mutable tick : int;
-  mutable resident : int;
-  mutable hits : int;
-  mutable misses : int;
+  mutable resident : int;  (* sum of entry_bytes over [entries] *)
   mutable evicted : int;
-  mutable stores : int;
+  mutable oversize : int;
+  mutable disk_evicted : int;
 }
 
-let version = "ZIRRC1"
+let rec mkdir_p d =
+  if not (Sys.file_exists d) then begin
+    mkdir_p (Filename.dirname d);
+    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
 
 let create ?(capacity = 4096) ?max_bytes ?disk ~name ~weigh () =
-  (match disk with
-  | Some d -> (
-      try Unix.mkdir d.dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  | None -> ());
+  let disk =
+    Option.map
+      (fun d ->
+        mkdir_p d.dir;
+        {
+          d with
+          max_entries = Option.map (max 1) d.max_entries;
+          max_bytes = Option.map (max 1) d.max_bytes;
+        })
+      disk
+  in
+  let n suffix = name ^ "." ^ suffix in
   {
-    name;
+    names =
+      {
+        lookups = n "lookups";
+        mem_hits = n "mem_hits";
+        disk_hits = n "disk_hits";
+        misses = n "misses";
+        stores = n "stores";
+        evictions = n "evictions";
+        oversize_skips = n "oversize_skips";
+        resident_bytes = n "resident_bytes";
+        disk_evictions = n "disk_evictions";
+      };
     capacity = max 1 capacity;
     max_bytes = Option.map (max 1) max_bytes;
     weigh;
@@ -52,11 +92,12 @@ let create ?(capacity = 4096) ?max_bytes ?disk ~name ~weigh () =
     last_use = Hashtbl.create 256;
     tick = 0;
     resident = 0;
-    hits = 0;
-    misses = 0;
     evicted = 0;
-    stores = 0;
+    oversize = 0;
+    disk_evicted = 0;
   }
+
+let dir t = Option.map (fun d -> d.dir) t.disk
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -66,6 +107,8 @@ let touch t k =
   t.tick <- t.tick + 1;
   Hashtbl.replace t.last_use k t.tick
 
+(* What an entry charges against the byte budget: its key plus the
+   caller's estimate of the payload. *)
 let entry_bytes t k v = String.length k + t.weigh v
 
 let evict_one t =
@@ -83,11 +126,16 @@ let evict_one t =
       Hashtbl.remove t.entries k;
       Hashtbl.remove t.last_use k;
       t.evicted <- t.evicted + 1;
-      Obs.count (t.name ^ ".evictions") 1
+      Obs.count t.names.evictions 1
   | None ->
       Hashtbl.reset t.entries;
       t.resident <- 0
 
+(* Insert under both bounds: at most [capacity] entries, and — when a
+   byte budget is set — at most [max_bytes] resident bytes.  Eviction is
+   strictly least-recently-used for both triggers.  A payload that alone
+   exceeds the budget is not admitted at all (evicting the whole cache
+   for one entry that still would not fit buys nothing). *)
 let insert t k v =
   (match Hashtbl.find_opt t.entries k with
   | Some old ->
@@ -97,7 +145,9 @@ let insert t k v =
   | None -> ());
   let sz = entry_bytes t k v in
   match t.max_bytes with
-  | Some budget when sz > budget -> Obs.count (t.name ^ ".oversize_skips") 1
+  | Some budget when sz > budget ->
+      t.oversize <- t.oversize + 1;
+      Obs.count t.names.oversize_skips 1
   | _ ->
       let over_budget () =
         match t.max_bytes with Some budget -> t.resident + sz > budget | None -> false
@@ -111,19 +161,18 @@ let insert t k v =
       Hashtbl.replace t.entries k v;
       t.resident <- t.resident + sz;
       touch t k;
-      Obs.gauge_max (t.name ^ ".resident_bytes") t.resident
+      Obs.gauge_max t.names.resident_bytes t.resident
 
-(* -- disk layer (optional; structured payloads go through the caller's
-   codec, framed and written atomically exactly like {!Cache}) -- *)
+(* -- disk layer -- *)
 
-let entry_path dir k = Filename.concat dir (k ^ ".zirr")
+let entry_path d k = Filename.concat d.dir (k ^ d.ext)
 
-let frame k payload = version ^ " " ^ k ^ "\n" ^ payload
+let header d k = d.tag ^ " " ^ k ^ "\n"
 
-let unframe k s =
-  let header = version ^ " " ^ k ^ "\n" in
-  let hl = String.length header in
-  if String.length s >= hl && String.sub s 0 hl = header then
+let unframe d k s =
+  let h = header d k in
+  let hl = String.length h in
+  if String.length s >= hl && String.sub s 0 hl = h then
     Some (String.sub s hl (String.length s - hl))
   else None
 
@@ -141,13 +190,55 @@ let disk_find t k =
   match t.disk with
   | None -> None
   | Some d ->
-      Option.bind (read_file (entry_path d.dir k)) (fun s ->
-          Option.bind (unframe k s) d.decode)
+      Option.bind (read_file (entry_path d k)) (fun s -> Option.bind (unframe d k s) d.decode)
+
+(* Bound the directory after a write.  The scan is O(entries) per store,
+   which is fine at cache scale, and — unlike an in-memory shadow count —
+   stays correct when several processes share the directory.  Only this
+   store's extension is counted, so stores sharing a directory bound
+   independently.  Oldest mtime goes first: a coarse LRU (reads do not
+   touch files), but eviction order only affects future hit rates, never
+   correctness. *)
+let prune_disk t d =
+  match (d.max_entries, d.max_bytes) with
+  | None, None -> ()
+  | _ -> (
+      try
+        let files =
+          Sys.readdir d.dir |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f d.ext)
+          |> List.filter_map (fun f ->
+                 let p = Filename.concat d.dir f in
+                 match Unix.stat p with
+                 | { Unix.st_mtime; st_size; _ } -> Some (st_mtime, st_size, p)
+                 | exception Unix.Unix_error _ -> None)
+          |> List.sort compare
+        in
+        let count = ref (List.length files) in
+        let bytes = ref (List.fold_left (fun a (_, sz, _) -> a + sz) 0 files) in
+        let over () =
+          (match d.max_entries with Some n -> !count > n | None -> false)
+          || match d.max_bytes with Some b -> !bytes > b | None -> false
+        in
+        List.iter
+          (fun (_, sz, p) ->
+            if over () then begin
+              (try Sys.remove p with Sys_error _ -> ());
+              decr count;
+              bytes := !bytes - sz;
+              t.disk_evicted <- t.disk_evicted + 1;
+              Obs.count t.names.disk_evictions 1
+            end)
+          files
+      with Sys_error _ -> ())
 
 let disk_store t k v =
   match t.disk with
   | None -> ()
   | Some d -> (
+      (* Write-to-temp + rename keeps concurrent readers (and workers on
+         other domains writing the same key) from ever observing a partial
+         entry; the domain id keeps temp names from colliding. *)
       let tmp =
         Filename.concat d.dir (Printf.sprintf ".tmp.%s.%d" k (Domain.self () :> int))
       in
@@ -155,38 +246,41 @@ let disk_store t k v =
         let oc = open_out_bin tmp in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (frame k (d.encode v)));
-        Sys.rename tmp (entry_path d.dir k)
+          (fun () ->
+            output_string oc (header d k);
+            output_string oc (d.encode v));
+        Sys.rename tmp (entry_path d k);
+        prune_disk t d
       with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()))
 
 (* -- lookup / store -- *)
 
 let find t k =
+  Obs.count t.names.lookups 1;
   with_lock t (fun () ->
       match Hashtbl.find_opt t.entries k with
       | Some v ->
           touch t k;
-          t.hits <- t.hits + 1;
+          Obs.count t.names.mem_hits 1;
           Some v
       | None -> (
           match disk_find t k with
           | Some v ->
               insert t k v;
-              t.hits <- t.hits + 1;
+              Obs.count t.names.disk_hits 1;
               Some v
           | None ->
-              t.misses <- t.misses + 1;
+              Obs.count t.names.misses 1;
               None))
 
 let store t ~key:k v =
+  Obs.count t.names.stores 1;
   with_lock t (fun () ->
-      t.stores <- t.stores + 1;
       insert t k v;
       disk_store t k v)
 
 let mem_entries t = with_lock t (fun () -> Hashtbl.length t.entries)
 let resident_bytes t = with_lock t (fun () -> t.resident)
 let evictions t = with_lock t (fun () -> t.evicted)
-let hits t = with_lock t (fun () -> t.hits)
-let misses t = with_lock t (fun () -> t.misses)
-let stores t = with_lock t (fun () -> t.stores)
+let oversize_skips t = with_lock t (fun () -> t.oversize)
+let disk_evictions t = with_lock t (fun () -> t.disk_evicted)

@@ -16,6 +16,8 @@
    The IR cache is shared across every request (multi-tenant, LRU, byte
    budget): clients rewriting the same binary under different transform
    configs — the fleet/CI scenario — pay for IR construction once.
+   Under --delta the shared delta cache's whole-IR memo plays that role
+   and the snapshot cache only persists IR behind --cache.
 
    Protocol: one request per connection.  The client connects, sends one
    frame, reads one frame; the server closes.  v1 keeps connection state
@@ -96,11 +98,7 @@ type cells = {
   c_rewrite_errors : int Atomic.t;
   c_shutting_down : int Atomic.t;
   c_pings : int Atomic.t;
-  c_cache_hits : int Atomic.t;
-  c_cache_misses : int Atomic.t;
-  c_routine_hits : int Atomic.t;
-  c_routine_misses : int Atomic.t;
-  c_delta_builds : int Atomic.t;
+  c_cache : Zipr.Pipeline.cache_stats Atomic.t;  (* summed over served rewrites *)
 }
 
 type t = {
@@ -154,14 +152,16 @@ let create ?(config = default_config) ~resolve_transform addr =
         ?max_disk_bytes:config.cache_disk_bytes ();
     routine_cache =
       (if config.delta then
-         (* The fragment store shares the snapshot cache's disk directory
-            (entries use a distinct extension) and inherits its byte
-            budget; the memo is entry-bounded like the snapshot LRU. *)
+         (* Fragments persist under DIR/delta (as for [batch]) with the
+            snapshot store's disk bounds and byte budget; the memo is
+            bounded by entry count only. *)
          Some
            (Zipr.Delta.create
               ~fragment_bytes:(max 1 config.cache_max_bytes)
               ~memo_capacity:(max 1 config.cache_entries)
-              ?dir:config.cache_dir ())
+              ?dir:(Option.map (fun d -> Filename.concat d "delta") config.cache_dir)
+              ?max_disk_entries:config.cache_disk_entries
+              ?max_disk_bytes:config.cache_disk_bytes ())
        else None);
     stop_flag = Atomic.make false;
     c =
@@ -175,11 +175,7 @@ let create ?(config = default_config) ~resolve_transform addr =
         c_rewrite_errors = Atomic.make 0;
         c_shutting_down = Atomic.make 0;
         c_pings = Atomic.make 0;
-        c_cache_hits = Atomic.make 0;
-        c_cache_misses = Atomic.make 0;
-        c_routine_hits = Atomic.make 0;
-        c_routine_misses = Atomic.make 0;
-        c_delta_builds = Atomic.make 0;
+        c_cache = Atomic.make Zipr.Pipeline.zero_cache_stats;
       };
   }
 
@@ -188,6 +184,7 @@ let cache t = t.cache
 let admission t = t.adm
 
 let stats t =
+  let c = Atomic.get t.c.c_cache in
   {
     accepted = Atomic.get t.c.c_accepted;
     ok = Atomic.get t.c.c_ok;
@@ -198,11 +195,11 @@ let stats t =
     rewrite_errors = Atomic.get t.c.c_rewrite_errors;
     shutting_down = Atomic.get t.c.c_shutting_down;
     pings = Atomic.get t.c.c_pings;
-    cache_hits = Atomic.get t.c.c_cache_hits;
-    cache_misses = Atomic.get t.c.c_cache_misses;
-    routine_hits = Atomic.get t.c.c_routine_hits;
-    routine_misses = Atomic.get t.c.c_routine_misses;
-    delta_builds = Atomic.get t.c.c_delta_builds;
+    cache_hits = c.Zipr.Pipeline.ir_cache_hits;
+    cache_misses = c.Zipr.Pipeline.ir_cache_misses;
+    routine_hits = c.Zipr.Pipeline.routine_hits;
+    routine_misses = c.Zipr.Pipeline.routine_misses;
+    delta_builds = c.Zipr.Pipeline.delta_builds;
     queue_high_water = Admission.high_water t.adm;
     queue_bound = Admission.bound t.adm;
     cache_resident_bytes = Irdb.Cache.resident_bytes t.cache;
@@ -292,6 +289,11 @@ let stats_text ~(rc : Protocol.rewrite_config) ~ir_jobs ~infer ~input_bytes ~out
       Printf.sprintf "routine_misses=%d\n" cache.Zipr.Pipeline.routine_misses;
     ]
 
+let rec accumulate cell s =
+  let old = Atomic.get cell in
+  if not (Atomic.compare_and_set cell old (Zipr.Pipeline.add_cache_stats old s)) then
+    accumulate cell s
+
 let exec_rewrite t ~id ~queue_wait_us (rc : Protocol.rewrite_config) payload =
   let unknown = List.filter (fun n -> t.resolve n = None) rc.transforms in
   if unknown <> [] then
@@ -342,16 +344,7 @@ let exec_rewrite t ~id ~queue_wait_us (rc : Protocol.rewrite_config) payload =
             | Ok r ->
                 let elapsed_us = int_of_float ((now () -. t0) *. 1e6) in
                 let cache = r.Zipr.Pipeline.cache in
-                Atomic.fetch_and_add t.c.c_cache_hits cache.Zipr.Pipeline.ir_cache_hits
-                |> ignore;
-                Atomic.fetch_and_add t.c.c_cache_misses cache.Zipr.Pipeline.ir_cache_misses
-                |> ignore;
-                Atomic.fetch_and_add t.c.c_routine_hits cache.Zipr.Pipeline.routine_hits
-                |> ignore;
-                Atomic.fetch_and_add t.c.c_routine_misses cache.Zipr.Pipeline.routine_misses
-                |> ignore;
-                Atomic.fetch_and_add t.c.c_delta_builds cache.Zipr.Pipeline.delta_builds
-                |> ignore;
+                accumulate t.c.c_cache cache;
                 let out = Zelf.Binary.serialize r.Zipr.Pipeline.rewritten in
                 let stats =
                   stats_text ~rc ~ir_jobs ~infer ~input_bytes:(String.length payload)

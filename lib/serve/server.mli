@@ -16,22 +16,33 @@
     The IR cache ({!cache}) is shared by all requests across all worker
     domains: concurrent clients rewriting the same input pay for IR
     construction once, bounded by [cache_entries] entries and
-    [cache_max_bytes] resident bytes (LRU eviction). *)
+    [cache_max_bytes] resident bytes (LRU eviction).  Under [delta] the
+    whole-IR memo takes that role instead: it is bounded by
+    [cache_entries] entries only, and the snapshot cache is used only as
+    the persistent tier behind [cache_dir]. *)
 
 type config = {
   jobs : int;  (** worker domains *)
   queue_bound : int;  (** admission bound = pool queue capacity *)
   max_request_bytes : int;  (** reject larger request payloads with [Too_large] *)
   cache_entries : int;
+      (** entry cap of the snapshot cache, and of the whole-IR memo
+          under [delta] *)
   cache_max_bytes : int;
-  cache_dir : string option;  (** optional disk spill for the IR cache *)
+      (** resident-byte budget of the snapshot cache, and of the routine
+          fragments under [delta]; the whole-IR memo has none *)
+  cache_dir : string option;
+      (** optional disk spill for the IR cache; under [delta] routine
+          fragments persist in its [delta] subdirectory *)
   cache_disk_entries : int option;
-      (** bound [cache_dir] to this many entry files (oldest pruned) *)
-  cache_disk_bytes : int option;  (** bound [cache_dir]'s total size *)
+      (** bound each store under [cache_dir] to this many entry files
+          (oldest pruned) *)
+  cache_disk_bytes : int option;  (** bound each store's total size likewise *)
   delta : bool;
       (** enable the shared routine-granular cache: requests are served
           through {!Zipr.Delta} (whole-IR memo + routine-fragment
-          stitching) before falling back to the snapshot IR cache *)
+          stitching) first; the snapshot IR cache then takes part only
+          when [cache_dir] is set, as the persistent tier *)
   read_timeout_s : float;  (** per-connection socket read timeout *)
   max_ping_sleep_us : int;  (** cap on client-requested ping sleeps *)
   placement_budget : int option;
@@ -56,7 +67,9 @@ type config = {
 
 val default_config : config
 (** jobs 2, queue bound 32, 64 MiB max request, 256-entry / 64 MiB
-    memory-only cache (disk layer unbounded when enabled), delta off,
+    memory-only cache (disk layer unbounded when enabled), delta off
+    (with delta on, the whole-IR memo that serves repeats is bounded by
+    the 256 entries only, with no byte budget),
     10 s read timeout, 30 s ping-sleep cap, search knobs unset, serial
     IR construction ([ir_jobs = 1]), inference refiner off. *)
 

@@ -204,6 +204,93 @@ let test_dirty_binary_falls_back_identically () =
         (Bytes.equal (out plain) (out cached)))
     [ a; b; a ]
 
+(* -- acquisition rule: under a routine cache the whole-IR memo is the
+      only in-memory whole-IR store; a snapshot cache takes part only as
+      the persistent tier behind a directory -- *)
+
+let fresh_dir () =
+  let f = Filename.temp_file "zipr_delta" "" in
+  Sys.remove f;
+  f
+
+let with_counters f =
+  let sink = Obs.Tracer.create () in
+  Obs.install sink;
+  Fun.protect ~finally:Obs.disable (fun () ->
+      let v = f () in
+      let snap = Obs.Counters.snapshot (Obs.Tracer.counters sink) in
+      let get n =
+        match List.find_opt (fun (n', _, _) -> n' = n) snap with
+        | Some (_, _, v) -> v
+        | None -> 0
+      in
+      (v, get))
+
+let test_memory_snapshot_cache_unused () =
+  let v = List.hd (Versioned.generate ~seed:3 ~versions:1 ()) in
+  let plain = rewrite v.Versioned.binary in
+  let ir_cache = Irdb.Cache.create () in
+  let dc = Zipr.Delta.create () in
+  let r, count =
+    with_counters (fun () ->
+        match
+          Zipr.Pipeline.try_rewrite ~ir_cache ~routine_cache:dc ~transforms v.Versioned.binary
+        with
+        | Ok r -> r
+        | Error m -> Alcotest.failf "rewrite failed: %s" m)
+  in
+  Alcotest.(check bool) "output byte-identical" true (Bytes.equal (out plain) (out r));
+  Alcotest.(check int) "snapshot cache holds nothing" 0 (Irdb.Cache.mem_entries ir_cache);
+  Alcotest.(check int) "irdb.cache.stores" 0 (count "irdb.cache.stores");
+  Alcotest.(check int) "irdb.cache.lookups" 0 (count "irdb.cache.lookups");
+  Alcotest.(check int) "delta.memo.stores" 1 (count "delta.memo.stores");
+  Alcotest.(check bool) "no snapshot-cache outcome reported" true
+    (r.Zipr.Pipeline.cache.Zipr.Pipeline.ir_cache_hits = 0
+    && r.Zipr.Pipeline.cache.Zipr.Pipeline.ir_cache_misses = 0)
+
+(* A restarted [batch --cache DIR --delta]: fresh delta and snapshot
+   caches over the same directories restore a binary the delta path
+   cannot stitch from the snapshot tier. *)
+let test_disk_snapshot_tier_restores () =
+  let binary =
+    (Workloads.Synthetic.frag_like ~seed:404 ~tests:0 ()).Workloads.Synthetic.binary
+  in
+  let dir = fresh_dir () in
+  let run () =
+    let ir_cache = Irdb.Cache.create ~dir () in
+    let routine_cache = Zipr.Delta.create ~dir:(Filename.concat dir "delta") () in
+    match Zipr.Pipeline.try_rewrite ~ir_cache ~routine_cache ~transforms binary with
+    | Ok r -> r
+    | Error m -> Alcotest.failf "rewrite failed: %s" m
+  in
+  let plain = rewrite binary in
+  let first = run () in
+  let second = run () in
+  let c = second.Zipr.Pipeline.cache in
+  Alcotest.(check int) "first run misses the snapshot tier" 1
+    first.Zipr.Pipeline.cache.Zipr.Pipeline.ir_cache_misses;
+  Alcotest.(check int) "restart: no stitch" 0 c.Zipr.Pipeline.delta_builds;
+  Alcotest.(check int) "restart: snapshot tier hits" 1 c.Zipr.Pipeline.ir_cache_hits;
+  Alcotest.(check bool) "cold output byte-identical" true (Bytes.equal (out plain) (out first));
+  Alcotest.(check bool) "restored output byte-identical" true
+    (Bytes.equal (out plain) (out second))
+
+(* [--cache-disk-entries] bounds the fragment store as well. *)
+let test_fragment_disk_bound () =
+  let dir = fresh_dir () in
+  let dc = Zipr.Delta.create ~dir ~max_disk_entries:3 () in
+  List.iter
+    (fun (v : Versioned.version) ->
+      let plain = rewrite v.Versioned.binary in
+      let cached = rewrite ~routine_cache:dc v.Versioned.binary in
+      Alcotest.(check bool) "bounded store: output byte-identical" true
+        (Bytes.equal (out plain) (out cached)))
+    (Versioned.generate ~seed:7 ~versions:3 ());
+  let zirr =
+    Sys.readdir dir |> Array.to_list |> List.filter (fun f -> Filename.check_suffix f ".zirr")
+  in
+  Alcotest.(check int) "pruned to 3 fragment files" 3 (List.length zirr)
+
 (* Shared cache across 4 workers: outputs must not depend on scheduling
    or on which worker seeds the cache. *)
 let test_jobs_shared_cache () =
@@ -254,6 +341,11 @@ let suite =
       test_disk_corruption_is_miss;
     Alcotest.test_case "irregular binaries fall back byte-identically" `Quick
       test_dirty_binary_falls_back_identically;
+    Alcotest.test_case "memory-only snapshot cache is bypassed under delta" `Quick
+      test_memory_snapshot_cache_unused;
+    Alcotest.test_case "disk snapshot tier restores after a restart" `Quick
+      test_disk_snapshot_tier_restores;
+    Alcotest.test_case "disk bounds prune fragment files" `Quick test_fragment_disk_bound;
     Alcotest.test_case "shared cache at jobs=4 stays deterministic" `Slow
       test_jobs_shared_cache;
   ]

@@ -421,6 +421,104 @@ let test_ir_jobs_override () =
       Alcotest.(check bool) "default output byte-identical" true
         (String.equal offline default.P.Response.payload))
 
+(* -- a [delta = true] daemon -- *)
+
+let versioned_inputs ~seed ~versions =
+  List.map
+    (fun (v : Workloads.Versioned.version) ->
+      Bytes.unsafe_to_string (Zelf.Binary.serialize v.Workloads.Versioned.binary))
+    (Workloads.Versioned.generate ~seed ~versions ())
+
+let stat_int key stats =
+  let prefix = key ^ "=" in
+  let n = String.length prefix in
+  match
+    List.find_opt
+      (fun l -> String.length l > n && String.sub l 0 n = prefix)
+      (String.split_on_char '\n' stats)
+  with
+  | Some l -> int_of_string (String.sub l n (String.length l - n))
+  | None -> Alcotest.failf "no %s line in stats" key
+
+(* v0, v1 of one versioned family, then v0 again: v1 is stitched from
+   v0's routines, the repeat is a memo hit, every payload equals the
+   offline pipeline's, and the server's counters are the sums of its
+   reply lines. *)
+let test_delta_daemon () =
+  let v0, v1 =
+    match versioned_inputs ~seed:3 ~versions:2 with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
+  let tnames = [ "cfi" ] in
+  let transforms = List.filter_map Transforms.Registry.by_name tnames in
+  let offline data =
+    match Zipr.Pipeline.rewrite_bytes ~transforms (Bytes.of_string data) with
+    | Ok out -> Bytes.to_string out
+    | Error e -> Alcotest.failf "offline rewrite failed: %s" e
+  in
+  let config = { Server.default_config with Server.delta = true } in
+  with_server ~config (fun server addr ->
+      let replies =
+        List.mapi
+          (fun i data ->
+            let r =
+              expect_ok (Printf.sprintf "request %d" i) (Client.rewrite ~transforms:tnames addr data)
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "request %d: served output byte-identical" i)
+              true
+              (String.equal (offline data) r.P.Response.payload);
+            r.P.Response.stats)
+          [ v0; v1; v0 ]
+      in
+      let nth i = List.nth replies i in
+      Alcotest.(check int) "v1 is a delta build" 1 (stat_int "delta_builds" (nth 1));
+      Alcotest.(check bool) "repeat hits the routine cache" true
+        (stat_int "routine_hits" (nth 2) > 0);
+      let sum key = List.fold_left (fun a st -> a + stat_int key st) 0 replies in
+      let s = Server.stats server in
+      Alcotest.(check int) "stats routine_hits = sum of replies" (sum "routine_hits")
+        s.Server.routine_hits;
+      Alcotest.(check int) "stats routine_misses = sum of replies" (sum "routine_misses")
+        s.Server.routine_misses;
+      Alcotest.(check int) "stats delta_builds = sum of replies" (sum "delta_builds")
+        s.Server.delta_builds;
+      Alcotest.(check int) "memory-only snapshot cache not consulted" 0
+        (s.Server.cache_hits + s.Server.cache_misses))
+
+(* [--cache-disk-entries] bounds every store under [--cache], routine
+   fragments included; those persist under DIR/delta. *)
+let test_delta_daemon_disk_bounds () =
+  let dir = Filename.temp_file "zipr_serve_cache" "" in
+  Sys.remove dir;
+  let config =
+    {
+      Server.default_config with
+      Server.delta = true;
+      cache_dir = Some dir;
+      cache_disk_entries = Some 3;
+    }
+  in
+  with_server ~config (fun _server addr ->
+      List.iteri
+        (fun i data ->
+          ignore
+            (expect_ok (Printf.sprintf "version %d" i)
+               (Client.rewrite ~transforms:[ "null" ] addr data)))
+        (versioned_inputs ~seed:7 ~versions:3));
+  let files d ext =
+    if Sys.file_exists d then
+      Sys.readdir d |> Array.to_list |> List.filter (fun f -> Filename.check_suffix f ext)
+      |> List.length
+    else 0
+  in
+  let delta_dir = Filename.concat dir "delta" in
+  Alcotest.(check bool) "snapshots bounded" true (files dir ".zirc" <= 3);
+  Alcotest.(check int) "no fragments beside the snapshots" 0 (files dir ".zirr");
+  Alcotest.(check int) "fragments pruned to the bound under DIR/delta" 3
+    (files delta_dir ".zirr")
+
 let test_ping_echoes () =
   with_server (fun _ addr ->
       let r = expect_ok "ping" (Client.ping ~payload:"\x00abc\xff" addr) in
@@ -555,6 +653,10 @@ let suite =
     Alcotest.test_case "concurrent clients share one IR cache" `Quick test_shared_cache_hits;
     Alcotest.test_case "per-request ir-jobs override round-trips" `Quick
       test_ir_jobs_override;
+    Alcotest.test_case "delta daemon: stitches, memo hits, counters sum" `Quick
+      test_delta_daemon;
+    Alcotest.test_case "delta daemon: disk bounds cover fragments" `Quick
+      test_delta_daemon_disk_bounds;
     Alcotest.test_case "ping echoes its payload" `Quick test_ping_echoes;
     Alcotest.test_case "bad requests answered, not dropped" `Quick test_server_rejects_nonsense;
     Alcotest.test_case "oversized requests answered with too_large" `Quick test_server_too_large;

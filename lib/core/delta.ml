@@ -63,6 +63,8 @@ type t = {
 type key_set = {
   binary : Zelf.Binary.t;
   memo_key : string;
+  decoded : Disasm.Decoded.t Lazy.t;
+      (* the decode table the scan, the stitch and a cold fallback share *)
   scan_keys : (Chunker.t * string array) Lazy.t;
       (* the chunker scan and per-chunk keys cost a full decode pass
          plus one digest per chunk — a whole-IR memo hit skips both *)
@@ -216,12 +218,12 @@ let memo_key ~fp binary =
    builder); this path runs them serially over the chunk array with one
    reusable scratch. *)
 
-let stitch t ~pin_config ~infer binary ~memo_key ~(scan : Chunker.t) ~chunk_keys frags =
-  let text_end = scan.Chunker.base + scan.Chunker.len in
+let stitch t ~pin_config ~infer binary ~decoded ~memo_key ~(scan : Chunker.t) ~chunk_keys
+    frags =
   match
     Obs.span "delta_stitch" (fun () ->
         let rec_ =
-          Obs.span "recursive" (fun () -> Disasm.Recursive.traverse binary)
+          Obs.span "recursive" (fun () -> Disasm.Recursive.traverse ~decoded binary)
         in
         let scratch = Stitch.scratch () in
         let resolved =
@@ -229,7 +231,7 @@ let stitch t ~pin_config ~infer binary ~memo_key ~(scan : Chunker.t) ~chunk_keys
             (fun i c ->
               match frags.(i) with
               | Some f -> (f, false)
-              | None -> (Stitch.local_linear ~scratch binary ~text_end c, true))
+              | None -> (Stitch.local_linear ~scratch decoded c, true))
             scan.Chunker.chunks
         in
         Array.iteri
@@ -255,12 +257,15 @@ let stitch t ~pin_config ~infer binary ~memo_key ~(scan : Chunker.t) ~chunk_keys
 let obtain t ~pin_config ?(infer = false) binary =
   let fp = Ir_construction.fingerprint ~infer pin_config in
   let memo_key = memo_key ~fp binary in
+  let decoded = lazy (Disasm.Decoded.create binary) in
   let scan_keys =
     lazy
-      (let scan = Obs.span "delta_scan" (fun () -> Chunker.scan binary) in
+      (let scan =
+         Obs.span "delta_scan" (fun () -> Chunker.scan ~decoded:(Lazy.force decoded) binary)
+       in
        (scan, Array.map (chunk_key ~fp binary scan) scan.Chunker.chunks))
   in
-  let keys = { binary; memo_key; scan_keys } in
+  let keys = { binary; memo_key; decoded; scan_keys } in
   match Rcache.find t.memo memo_key with
   | Some (ir, n) ->
       Obs.count "delta.memo_hits" 1;
@@ -279,7 +284,10 @@ let obtain t ~pin_config ?(infer = false) binary =
         { ir = None; routine_hits = 0; routine_misses = n; delta_built = false; keys }
       end
       else
-        match stitch t ~pin_config ~infer binary ~memo_key ~scan ~chunk_keys frags with
+        match
+          stitch t ~pin_config ~infer binary ~decoded:(Lazy.force decoded) ~memo_key ~scan
+            ~chunk_keys frags
+        with
         | Some ir ->
             Obs.count "delta.routine_hits" n_hit;
             Obs.count "delta.routine_misses" (n - n_hit);
@@ -351,6 +359,9 @@ let harvest t (o : outcome) (ir : Ir_construction.t) =
   Rcache.store t.memo ~key:o.keys.memo_key
     ( { ir with Ir_construction.db = Db.copy ir.Ir_construction.db },
       Array.length scan.Chunker.chunks )
+
+let decoded (o : outcome) =
+  if Lazy.is_val o.keys.decoded then Some (Lazy.force o.keys.decoded) else None
 
 (* ---------- introspection ---------- *)
 

@@ -62,6 +62,11 @@ val obtain :
     refiner never cross-pollinate — and a stitched aggregate recomputes
     the refiner's pin hints over its validated boundaries. *)
 
+val decoded : outcome -> Disasm.Decoded.t option
+(** The decode table a memo miss built for the chunk scan and stitch,
+    already partly filled; a caller that must build cold passes it on.
+    [None] after a memo hit, which decodes nothing. *)
+
 val harvest : t -> outcome -> Ir_construction.t -> unit
 (** Publish a cold (or snapshot-restored) build's results: fragments for
     every chunk the disassembly aggregation was conclusive about, plus

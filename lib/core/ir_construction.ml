@@ -198,8 +198,8 @@ let build_from_aggregate ?pin_config binary (aggregate : Agg.t) =
   Obs.span "funcid" (fun () -> Analysis.Funcid.assign db);
   { db; aggregate; pins; fixed_ranges; data_ranges; warnings = List.rev !warnings })
 
-let build ?pin_config ?(infer = false) binary =
-  let aggregate = Obs.span "disasm" (fun () -> Agg.run ~infer binary) in
+let build ?pin_config ?(infer = false) ?decoded binary =
+  let aggregate = Obs.span "disasm" (fun () -> Agg.run ~infer ?decoded binary) in
   build_from_aggregate ?pin_config binary aggregate
 
 (* -- snapshot / restore: the payload behind Irdb.Cache -- *)

@@ -19,9 +19,15 @@ type t = {
   warnings : string list;
 }
 
-val build : ?pin_config:Analysis.Ibt.config -> ?infer:bool -> Zelf.Binary.t -> t
+val build :
+  ?pin_config:Analysis.Ibt.config ->
+  ?infer:bool ->
+  ?decoded:Disasm.Decoded.t ->
+  Zelf.Binary.t ->
+  t
 (** Run the whole phase: aggregate disassembly (with the {!Disasm.Infer}
-    refinement pass when [~infer:true]; default false), row/link
+    refinement pass when [~infer:true]; default false) over [decoded],
+    a decode table the caller may already have partly filled, row/link
     construction,
     fixed-range marking, mandatory transformations, pinned-address
     assignment (including speculative decoding at pins that fall between

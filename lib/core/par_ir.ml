@@ -7,7 +7,9 @@
    chunks whose cuts land on instruction starts or unreached bytes of
    that traversal, and fans the chunks out over worker domains: each
    chunk task re-frames its span linearly in isolation (a pure function
-   of the bytes — no shared state, no RNG) and validates the framing
+   of the bytes, read through the binary's shared decode table at
+   offsets inside the chunk only — no other shared state, no RNG) and
+   validates the framing
    bidirectionally against the traversal, exactly as the delta cache's
    stitch does.  When every chunk validates, the validated claims
    coincide with the traversal by construction, so the merged aggregate
@@ -64,29 +66,31 @@ let tile (rec_ : Disasm.Recursive.t) =
   done;
   Array.of_list (List.rev !chunks)
 
-let build ~jobs ~pin_config ?(infer = false) binary =
+let build ~jobs ~pin_config ?(infer = false) ?decoded binary =
+  let decoded = Disasm.Decoded.for_binary ?decoded binary in
   Obs.span "ir_par" (fun () ->
       let rec_ =
-        Obs.span "recursive" (fun () -> Disasm.Recursive.traverse binary)
+        Obs.span "recursive" (fun () -> Disasm.Recursive.traverse ~decoded binary)
       in
       let chunks = Obs.span "tile" (fun () -> tile rec_) in
       let n = Array.length chunks in
       if n = 0 then None
       else begin
-        let text_end = rec_.Disasm.Recursive.base + rec_.Disasm.Recursive.len in
         let workers =
           max 1 (min (min jobs n) (Domain.recommended_domain_count ()))
         in
         let failed = Atomic.make false in
         (* Worker [w] owns the contiguous block [n*w/workers, n*(w+1)/workers):
            pure validation, no results to store, earliest-possible exit
-           once any domain has hit a fallback. *)
+           once any domain has hit a fallback.  A worker reads and fills
+           only the decode-table entries inside its own chunks, so the
+           shared table sees disjoint writes. *)
         let run_block w =
           let lo = n * w / workers and hi = n * (w + 1) / workers in
           try
             for i = lo to hi - 1 do
               if not (Atomic.get failed) then
-                Stitch.validate_span binary ~text_end rec_ chunks.(i)
+                Stitch.validate_span decoded rec_ chunks.(i)
             done
           with Stitch.Fallback -> Atomic.set failed true
         in

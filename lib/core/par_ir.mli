@@ -16,6 +16,7 @@ val build :
   jobs:int ->
   pin_config:Analysis.Ibt.config ->
   ?infer:bool ->
+  ?decoded:Disasm.Decoded.t ->
   Zelf.Binary.t ->
   Ir_construction.t option
 (** Build the IR with up to [jobs] worker domains ([jobs] is clamped to
@@ -26,4 +27,7 @@ val build :
     false) the materialized aggregate carries the inference pass's pin
     hints, recomputed over the validated traversal
     ({!Stitch.of_recursive}); a validated tiling has no ambiguity, so
-    this coincides with the cold build under [--infer]. *)
+    this coincides with the cold build under [--infer].  The traversal
+    and the chunk tasks read [decoded] (a fresh table when absent); on
+    [None] the caller passes the same table to its serial build, which
+    then decodes only the offsets this build never reached. *)

@@ -64,20 +64,21 @@ let expect_buf s n =
    (guaranteed by the caller's induction over previously validated
    chunks) and decode outcomes depend only on the bytes.  Raises
    {!Fallback} if an instruction would cross the chunk's upper cut. *)
-let local_linear ?scratch binary ~text_end (c : Chunker.chunk) =
-  let fetch a = Zelf.Binary.read8 binary a in
+let local_linear ?scratch d (c : Chunker.chunk) =
+  let base = Disasm.Decoded.base d in
   let cl =
     match scratch with Some s -> s.claims | None -> { items = [||]; n = 0 }
   in
   let pos = ref c.Chunker.lo in
   (try
      while !pos < c.Chunker.hi do
-       match Zvm.Decode.decode ~fetch !pos with
-       | Ok (insn, ilen) when !pos + ilen <= text_end ->
-           if !pos + ilen > c.Chunker.hi then raise Fallback;
-           push cl (!pos - c.Chunker.lo, insn, ilen);
-           pos := !pos + ilen
-       | Ok _ | Error _ -> incr pos
+       let ilen = Disasm.Decoded.length d (!pos - base) in
+       if ilen > 0 then begin
+         if !pos + ilen > c.Chunker.hi then raise Fallback;
+         push cl (!pos - c.Chunker.lo, Disasm.Decoded.insn d (!pos - base), ilen);
+         pos := !pos + ilen
+       end
+       else incr pos
      done
    with Fallback ->
      cl.n <- 0;
@@ -123,25 +124,28 @@ let validate_chunk ?scratch (rec_ : Disasm.Recursive.t) (c : Chunker.chunk) f =
    tasks are pure validators (the validated claims coincide with the
    traversal, so the merge materializes from the traversal directly).
    Raises {!Fallback} on any disagreement. *)
-let validate_span binary ~text_end (rec_ : Disasm.Recursive.t) (c : Chunker.chunk) =
-  let fetch a = Zelf.Binary.read8 binary a in
+let validate_span d (rec_ : Disasm.Recursive.t) (c : Chunker.chunk) =
   let base = rec_.Disasm.Recursive.base in
   let cover = rec_.Disasm.Recursive.cover in
   let pos = ref c.Chunker.lo in
   while !pos < c.Chunker.hi do
-    match Zvm.Decode.decode ~fetch !pos with
-    | Ok (insn, ilen) when !pos + ilen <= text_end ->
-        if !pos + ilen > c.Chunker.hi then raise Fallback;
-        (match Hashtbl.find_opt rec_.Disasm.Recursive.insns !pos with
-        | Some (insn', ilen') when ilen' = ilen && insn' = insn -> ()
-        | _ -> raise Fallback);
-        for i = !pos to !pos + ilen - 1 do
-          if cover.(i - base) <> !pos then raise Fallback
-        done;
-        pos := !pos + ilen
-    | Ok _ | Error _ ->
-        if cover.(!pos - base) <> -1 then raise Fallback;
-        incr pos
+    let ilen = Disasm.Decoded.length d (!pos - base) in
+    if ilen > 0 then begin
+      if !pos + ilen > c.Chunker.hi then raise Fallback;
+      (match Hashtbl.find_opt rec_.Disasm.Recursive.insns !pos with
+      | Some (insn', ilen') when ilen' = ilen && insn' = Disasm.Decoded.insn d (!pos - base)
+        ->
+          ()
+      | _ -> raise Fallback);
+      for i = !pos to !pos + ilen - 1 do
+        if cover.(i - base) <> !pos then raise Fallback
+      done;
+      pos := !pos + ilen
+    end
+    else begin
+      if cover.(!pos - base) <> -1 then raise Fallback;
+      incr pos
+    end
   done
 
 (* ---------- aggregate assembly ---------- *)

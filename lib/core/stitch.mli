@@ -23,12 +23,12 @@ type scratch
 
 val scratch : unit -> scratch
 
-val local_linear :
-  ?scratch:scratch -> Zelf.Binary.t -> text_end:int -> Disasm.Chunker.chunk -> fragment
+val local_linear : ?scratch:scratch -> Disasm.Decoded.t -> Disasm.Chunker.chunk -> fragment
 (** Linear-framing decode of one chunk in isolation — a pure function of
     the chunk bytes and the decode lookahead, equal to the global
-    sweep's framing inside the chunk.  Raises {!Fallback} if an
-    instruction would cross the chunk's upper cut. *)
+    sweep's framing inside the chunk.  Reads (and so fills) only the
+    decode-table entries of offsets inside the chunk.  Raises
+    {!Fallback} if an instruction would cross the chunk's upper cut. *)
 
 val validate_chunk :
   ?scratch:scratch -> Disasm.Recursive.t -> Disasm.Chunker.chunk -> fragment -> unit
@@ -37,13 +37,14 @@ val validate_chunk :
     decode, every recursive byte covered, every gap byte unreached.
     Raises {!Fallback} on any disagreement. *)
 
-val validate_span :
-  Zelf.Binary.t -> text_end:int -> Disasm.Recursive.t -> Disasm.Chunker.chunk -> unit
+val validate_span : Disasm.Decoded.t -> Disasm.Recursive.t -> Disasm.Chunker.chunk -> unit
 (** Fused, allocation-free equivalent of {!local_linear} followed by
-    {!validate_chunk}: decodes the chunk's linear framing and compares
-    it against the recursive cover in the same pass, keeping nothing.
-    This is the parallel IR builder's chunk task — a pure validator.
-    Raises {!Fallback} on any disagreement. *)
+    {!validate_chunk}: frames the chunk linearly and compares it against
+    the recursive cover in the same pass, keeping nothing.  Like
+    {!local_linear} it touches only the decode-table entries inside the
+    chunk, so workers on disjoint chunks may share one table.  This is
+    the parallel IR builder's chunk task — a pure validator.  Raises
+    {!Fallback} on any disagreement. *)
 
 val assemble :
   ?infer:bool -> Zelf.Binary.t -> Disasm.Chunker.t -> fragment array -> Disasm.Aggregate.t

@@ -88,34 +88,99 @@ let pp_verdict ppf = function
    instructions of {e different lengths}.  The per-byte loop below folds
    these into cases 2/4 (correct but silent); here each overlapping
    boundary pair with mismatched lengths is reported and counted, without
-   changing any verdict.  O(n log n) sweep; overlaps are at most one
-   instruction long, so the active set stays tiny. *)
-let overlap_mismatches (primaries : Source.t list) =
-  let boundaries =
-    List.concat_map
+   changing any verdict.
+
+   Equivalent to sorting every boundary of every source by (address,
+   length, source name) and pairing each with the earlier boundaries
+   still covering its address, most recent first — but done as one sweep
+   over text offsets against per-source boundary-length arrays.  At each
+   offset the boundaries there are ordered by (length, name); a boundary
+   is checked against the ones before it at the same offset, then
+   against the boundaries of the preceding [max_len - 1] offsets that
+   reach it, nearest first. *)
+let overlap_mismatches ~base ~len (primaries : Source.t list) =
+  let srcs = Array.of_list primaries in
+  let n = Array.length srcs in
+  let max_len = ref 1 in
+  let lens =
+    Array.map
       (fun (s : Source.t) ->
-        Hashtbl.fold (fun addr (_, ilen) acc -> (addr, ilen, s.Source.name) :: acc) s.Source.insns [])
-      primaries
-    |> List.sort compare
+        let a = Array.make len 0 in
+        Hashtbl.iter
+          (fun addr (_, ilen) ->
+            if addr < base || addr + ilen > base + len then
+              invalid_arg "Aggregate.combine_sources: instruction outside the text range";
+            a.(addr - base) <- ilen;
+            if ilen > !max_len then max_len := ilen)
+          s.Source.insns;
+        a)
+      srcs
+  in
+  let name i = srcs.(i).Source.name in
+  (* Boundaries at [off] as source indices, by (length, name). *)
+  let at off =
+    List.filter (fun i -> lens.(i).(off) > 0) (List.init n Fun.id)
+    |> List.stable_sort (fun i j ->
+           let c = Int.compare lens.(i).(off) lens.(j).(off) in
+           if c <> 0 then c else String.compare (name i) (name j))
   in
   let count = ref 0 and warnings = ref [] in
-  let active = ref [] in
-  List.iter
-    (fun (addr, ilen, name) ->
-      active := List.filter (fun (a, l, _) -> a + l > addr) !active;
-      List.iter
-        (fun (a, l, n) ->
-          if l <> ilen && not (a = addr && n = name) then begin
-            incr count;
-            warnings :=
-              Printf.sprintf
-                "overlapping instruction claims of different lengths: %s@0x%x+%d vs %s@0x%x+%d"
-                n a l name addr ilen
-              :: !warnings
-          end)
-        !active;
-      active := (addr, ilen, name) :: !active)
-    boundaries;
+  let warn (i, a) (j, b) =
+    incr count;
+    warnings :=
+      Printf.sprintf
+        "overlapping instruction claims of different lengths: %s@0x%x+%d vs %s@0x%x+%d"
+        (name i) (base + a) lens.(i).(a) (name j) (base + b) lens.(j).(b)
+      :: !warnings
+  in
+  let reach off = Int.min off (!max_len - 1) in
+  (* Does a boundary starting [back] bytes before [off] reach it with a
+     length other than [l]? *)
+  let mismatch_back off l back =
+    let hit = ref false in
+    for i = 0 to n - 1 do
+      let l' = lens.(i).(off - back) in
+      if l' > back && l' <> l then hit := true
+    done;
+    !hit
+  in
+  for off = 0 to len - 1 do
+    let lmin = ref max_int and lmax = ref 0 in
+    for i = 0 to n - 1 do
+      let l = lens.(i).(off) in
+      if l > 0 then begin
+        lmin := Int.min !lmin l;
+        lmax := Int.max !lmax l
+      end
+    done;
+    if !lmax > 0 then begin
+      (* Allocation-free common case: one length here, and nothing
+         earlier reaching here with another. *)
+      let quiet = ref (!lmin = !lmax) in
+      for back = 1 to reach off do
+        if !quiet && mismatch_back off !lmin back then quiet := false
+      done;
+      if not !quiet then begin
+        let here = ref [] in
+        List.iter
+          (fun j ->
+            let l = lens.(j).(off) in
+            List.iter
+              (fun k -> if lens.(k).(off) <> l && name k <> name j then warn (k, off) (j, off))
+              !here;
+            for back = 1 to reach off do
+              let a = off - back in
+              List.iter
+                (fun k ->
+                  let l' = lens.(k).(a) in
+                  if l' > back && l' <> l then warn (k, a) (j, off))
+                (List.rev (at a))
+            done;
+            here := j :: !here)
+          (at off)
+      end
+    end
+  done;
   (!count, List.rev !warnings)
 
 (* N-way aggregation rule (generalizing the paper's case analysis to any
@@ -199,7 +264,7 @@ let combine_sources binary (sources : Source.t list) =
        else if !high_claim then begin incr c1_code; Code end
        else begin (* only low-confidence tools call it code: case 4 *) incr c4; Ambiguous end)
   done;
-  let overlap_count, overlap_warnings = overlap_mismatches primaries in
+  let overlap_count, overlap_warnings = overlap_mismatches ~base ~len primaries in
   List.iter (fun w -> warnings := w :: !warnings) overlap_warnings;
   (* Refinement pass: each refiner may flip ambiguous bytes only.  A flip
      to [Code start] requires every primary code claim on the byte to
@@ -303,23 +368,32 @@ let combine_sources binary (sources : Source.t list) =
     pin_hints = [];
   }
 
-let combine binary (lin : Linear.t) (rec_ : Recursive.t) =
-  combine_sources binary [ Source.of_linear lin; Source.of_recursive rec_ ]
-
-let run ?(infer = false) binary =
-  let lin = Obs.span "linear" (fun () -> Linear.sweep binary) in
-  let rec_ = Obs.span "recursive" (fun () -> Recursive.traverse binary) in
-  let spec = Obs.span "superset" (fun () -> Superset.run binary ~avoid:rec_) in
+let run ?(infer = false) ?decoded binary =
+  let decoded =
+    Obs.span "decode" (fun () ->
+        let d = Decoded.for_binary ?decoded binary in
+        (* The superset source reads every offset anyway: filling here
+           puts the whole decode cost under one span. *)
+        Decoded.fill d;
+        d)
+  in
+  let lin = Obs.span "linear" (fun () -> Source.of_linear (Linear.sweep ~decoded binary)) in
+  let rec_, rec_src =
+    Obs.span "recursive" (fun () ->
+        let r = Recursive.traverse ~decoded binary in
+        (r, Source.of_recursive r))
+  in
+  let spec = Obs.span "superset" (fun () -> Superset.run ~decoded binary ~avoid:rec_) in
   (* Priority (lowest first): linear, superset, recursive — so recursive
      boundaries win, with superset refining the regions it never reached.
      The inference refiner, when enabled, rides along as evidence only. *)
-  let sources = [ Source.of_linear lin; spec; Source.of_recursive rec_ ] in
+  let sources = [ lin; spec; rec_src ] in
   if infer then begin
-    let inf = Obs.span "infer" (fun () -> Infer.run binary ~avoid:rec_) in
-    let agg = combine_sources binary (sources @ [ inf.Infer.source ]) in
+    let inf = Obs.span "infer" (fun () -> Infer.run ~decoded binary ~avoid:rec_) in
+    let agg = Obs.span "combine" (fun () -> combine_sources binary (sources @ [ inf.Infer.source ])) in
     { agg with pin_hints = inf.Infer.pin_hints }
   end
-  else combine_sources binary sources
+  else Obs.span "combine" (fun () -> combine_sources binary sources)
 
 let verdict_at t addr =
   if addr < t.base || addr >= t.base + t.len then None else Some t.verdicts.(addr - t.base)

@@ -72,14 +72,12 @@ type t = {
           empty unless the inference refiner ran *)
 }
 
-val run : ?infer:bool -> Zelf.Binary.t -> t
+val run : ?infer:bool -> ?decoded:Decoded.t -> Zelf.Binary.t -> t
 (** Run all three disassemblers (linear sweep, recursive traversal,
-    superset) and aggregate; with [~infer:true] (default false) the
-    {!Infer} fact-propagation pass rides along as a refiner source. *)
-
-val combine : Zelf.Binary.t -> Linear.t -> Recursive.t -> t
-(** Two-way aggregation, for tests that want to inject disassembler
-    results. *)
+    superset) over one decode table and aggregate; with [~infer:true]
+    (default false) the {!Infer} fact-propagation pass rides along as a
+    refiner source.  [decoded] is a table the caller may already have
+    partly filled (a fresh one when absent); it ends up fully filled. *)
 
 val combine_sources : Zelf.Binary.t -> Source.t list -> t
 (** N-way aggregation over any set of {!Source}s covering the same text
@@ -87,8 +85,9 @@ val combine_sources : Zelf.Binary.t -> Source.t list -> t
     high-confidence primary claims it and every claiming primary agrees on
     the instruction start; [Data] iff no primary claims code; [Ambiguous]
     otherwise — then refiner sources may flip ambiguous bytes only.
-    Raises [Invalid_argument] on an empty or mismatched source list, or
-    when no primary source is present. *)
+    Raises [Invalid_argument] on an empty or mismatched source list, when
+    no primary source is present, or when a primary's instruction does
+    not lie inside the range. *)
 
 val verdict_at : t -> int -> verdict option
 

@@ -56,31 +56,11 @@ let min_chunk = 96
 let max_chunk = 4096
 let cdc_mask = 0x3ff
 
-let jump_table_entries binary ~lo ~hi table =
-  let rec go i acc =
-    if i >= 256 then List.rev acc
-    else
-      match Zelf.Binary.read32 binary (table + (i * 4)) with
-      | Some v when v >= lo && v < hi -> go (i + 1) (v :: acc)
-      | _ -> List.rev acc
-  in
-  go 0 []
-
-let immediate_code_refs ~lo ~hi insn =
-  let open Zvm.Insn in
-  let candidates =
-    match insn with
-    | Movi (_, v) | Pushi v | Leaa (_, v) | Cmpi (_, v) -> [ v ]
-    | _ -> []
-  in
-  List.filter (fun v -> v >= lo && v < hi) candidates
-
-let scan binary =
-  let text = Zelf.Binary.text binary in
-  let base = text.Zelf.Section.vaddr in
-  let len = text.Zelf.Section.size in
+let scan ?decoded binary =
+  let d = Decoded.for_binary ?decoded binary in
+  let base = Decoded.base d and len = Decoded.len d in
   let lo = base and hi = base + len in
-  let fetch a = Zelf.Binary.read8 binary a in
+  let text = (Zelf.Binary.text binary).Zelf.Section.data in
   (* One linear-framing pass: collect sync points (offsets directly after
      a no-fallthrough instruction) and outbound references. *)
   let refs = ref [] in
@@ -100,19 +80,21 @@ let scan binary =
   let pos = ref base in
   while !pos < hi do
     boundary.(!pos - base) <- true;
-    match Zvm.Decode.decode ~fetch !pos with
-    | Ok (insn, ilen) when !pos + ilen <= hi ->
-        (match Zvm.Insn.static_target ~at:!pos insn with
-        | Some t when t >= lo && t < hi -> add_ref Branch t
-        | _ -> ());
-        List.iter (add_ref Immediate) (immediate_code_refs ~lo ~hi insn);
-        (match insn with
-        | Zvm.Insn.Jmpt (_, table) ->
-            List.iter (add_ref Table) (jump_table_entries binary ~lo ~hi table)
-        | _ -> ());
-        if not (Zvm.Insn.has_fallthrough insn) then sync.(!pos + ilen - base) <- true;
-        pos := !pos + ilen
-    | Ok _ | Error _ -> incr pos
+    let ilen = Decoded.length d (!pos - base) in
+    if ilen > 0 then begin
+      let insn = Decoded.insn d (!pos - base) in
+      (match Zvm.Insn.static_target ~at:!pos insn with
+      | Some t when t >= lo && t < hi -> add_ref Branch t
+      | _ -> ());
+      List.iter (add_ref Immediate) (Recursive.immediate_code_refs ~lo ~hi insn);
+      (match insn with
+      | Zvm.Insn.Jmpt (_, table) ->
+          List.iter (add_ref Table) (Recursive.jump_table_entries binary ~lo ~hi table)
+      | _ -> ());
+      if not (Zvm.Insn.has_fallthrough insn) then sync.(!pos + ilen - base) <- true;
+      pos := !pos + ilen
+    end
+    else incr pos
   done;
   List.iter (fun a -> add_ref Data_word a) (Recursive.scan_for_text_addresses binary);
   if binary.Zelf.Binary.entry >= lo && binary.Zelf.Binary.entry < hi then
@@ -126,7 +108,7 @@ let scan binary =
   let roll = ref 0 in
   let off = ref 0 in
   while !off < len do
-    let b = match fetch (base + !off) with Some v -> v | None -> 0 in
+    let b = Char.code (Bytes.get text !off) in
     roll := ((!roll * 33) + b) land 0xffffff;
     incr off;
     let size = !off - !start in

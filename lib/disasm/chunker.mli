@@ -29,7 +29,8 @@ type chunk = {
 
 type t = { base : int; len : int; chunks : chunk array }
 
-val scan : Zelf.Binary.t -> t
+val scan : ?decoded:Decoded.t -> Zelf.Binary.t -> t
+(** Reads candidates from [decoded] (a fresh table when absent). *)
 
 val chunk_bytes : Zelf.Binary.t -> chunk -> string
 (** The chunk's raw text bytes. *)

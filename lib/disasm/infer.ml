@@ -327,13 +327,11 @@ let resolve_pins binary ~insns =
 
 (* ---------- the inference pass ---------- *)
 
-let run binary ~(avoid : Recursive.t) =
-  let text = Zelf.Binary.text binary in
-  let base = text.Zelf.Section.vaddr in
-  let len = text.Zelf.Section.size in
+let run ?decoded binary ~(avoid : Recursive.t) =
+  let d = Decoded.for_binary ?decoded binary in
+  let base = Decoded.base d and len = Decoded.len d in
   let lo = base and hi = base + len in
-  let candidates = Superset.decode_all binary in
-  let alive = Superset.prune_fixpoint binary in
+  let alive = Superset.prune_fixpoint ~decoded:d binary in
   let claims = Array.make len Source.Unknown in
   let tags = Array.make len "" in
   let insns : (int, Zvm.Insn.t * int) Hashtbl.t = Hashtbl.create 64 in
@@ -352,12 +350,9 @@ let run binary ~(avoid : Recursive.t) =
   let covered = Array.make len false in
   for off = 0 to len - 1 do
     if alive.(off) then
-      match candidates.(off) with
-      | Some (_, ilen) ->
-          for i = off to min (len - 1) (off + ilen - 1) do
-            covered.(i) <- true
-          done
-      | None -> ()
+      for i = off to min (len - 1) (off + Decoded.length d off - 1) do
+        covered.(i) <- true
+      done
   done;
   let claim_data off fact =
     if off >= 0 && off < len && (not (avoided off)) && claims.(off) = Source.Unknown
@@ -428,28 +423,26 @@ let run binary ~(avoid : Recursive.t) =
           | Source.Unknown -> (
               if not alive.(off) then begin if reach then closed := false end
               else
-                match candidates.(off) with
-                | None -> if reach then closed := false
-                | Some (insn, ilen) ->
-                    let clash = ref (off + ilen > len) in
-                    for i = off to min (len - 1) (off + ilen - 1) do
-                      if claims.(i) <> Source.Unknown || avoided i then clash := true
-                    done;
-                    if !clash then begin if reach then closed := false end
-                    else begin
-                      for i = off to off + ilen - 1 do
-                        claims.(i) <- Source.Code (base + off);
-                        tags.(i) <- fact_name fact
-                      done;
-                      bump fact ilen;
-                      Hashtbl.replace insns (base + off) (insn, ilen);
-                      Hashtbl.replace known (base + off) (insn, ilen);
-                      newly_known := (base + off, (insn, ilen)) :: !newly_known;
-                      if falls_through insn then enqueue (off + ilen) fact;
-                      match Zvm.Insn.static_target ~at:(base + off) insn with
-                      | Some tgt when tgt >= lo && tgt < hi -> enqueue (tgt - base) fact
-                      | _ -> ()
-                    end)
+                let insn = Decoded.insn d off and ilen = Decoded.length d off in
+                let clash = ref (off + ilen > len) in
+                for i = off to min (len - 1) (off + ilen - 1) do
+                  if claims.(i) <> Source.Unknown || avoided i then clash := true
+                done;
+                if !clash then begin if reach then closed := false end
+                else begin
+                  for i = off to off + ilen - 1 do
+                    claims.(i) <- Source.Code (base + off);
+                    tags.(i) <- fact_name fact
+                  done;
+                  bump fact ilen;
+                  Hashtbl.replace insns (base + off) (insn, ilen);
+                  Hashtbl.replace known (base + off) (insn, ilen);
+                  newly_known := (base + off, (insn, ilen)) :: !newly_known;
+                  if falls_through insn then enqueue (off + ilen) fact;
+                  match Zvm.Insn.static_target ~at:(base + off) insn with
+                  | Some tgt when tgt >= lo && tgt < hi -> enqueue (tgt - base) fact
+                  | _ -> ()
+                end)
       end
     done
   in
@@ -458,8 +451,8 @@ let run binary ~(avoid : Recursive.t) =
         return site after them) as code -- *)
   for off = 0 to len - 1 do
     if alive.(off) && not (avoided off) then
-      match candidates.(off) with
-      | Some ((Zvm.Insn.Call _ as insn), _) -> (
+      match Decoded.insn d off with
+      | Zvm.Insn.Call _ as insn -> (
           match Zvm.Insn.static_target ~at:(base + off) insn with
           | Some tgt when Hashtbl.mem avoid.Recursive.insns tgt ->
               enqueue off Call_fallthrough

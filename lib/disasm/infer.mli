@@ -39,9 +39,10 @@ type t = {
           [unreachable-code] fact *)
 }
 
-val run : Zelf.Binary.t -> avoid:Recursive.t -> t
+val run : ?decoded:Decoded.t -> Zelf.Binary.t -> avoid:Recursive.t -> t
 (** Infer over the binary's text section, abstaining on bytes [avoid]
-    reached. *)
+    reached.  Reads candidates from [decoded] (a fresh table when
+    absent). *)
 
 val resolve_pins : Zelf.Binary.t -> insns:(int, Zvm.Insn.t * int) Hashtbl.t -> int list
 (** Resolved in-text computed-jump targets over a {e validated}

@@ -5,26 +5,22 @@ type t = {
   insns : (int, Zvm.Insn.t * int) Hashtbl.t;
 }
 
-let sweep binary =
-  let text = Zelf.Binary.text binary in
-  let base = text.Zelf.Section.vaddr in
-  let len = text.Zelf.Section.size in
+let sweep ?decoded binary =
+  let d = Decoded.for_binary ?decoded binary in
+  let base = Decoded.base d and len = Decoded.len d in
   let cover = Array.make len (-1) in
   let insns = Hashtbl.create 256 in
-  let fetch a = Zelf.Binary.read8 binary a in
-  let pos = ref base in
-  let limit = base + len in
-  while !pos < limit do
-    match Zvm.Decode.decode ~fetch !pos with
-    | Ok (insn, ilen) when !pos + ilen <= limit ->
-        Hashtbl.replace insns !pos (insn, ilen);
-        for i = !pos to !pos + ilen - 1 do
-          cover.(i - base) <- !pos
-        done;
-        pos := !pos + ilen
-    | Ok _ | Error _ ->
-        (* Data byte (or an instruction spilling off the section). *)
-        pos := !pos + 1
+  let off = ref 0 in
+  while !off < len do
+    let ilen = Decoded.length d !off in
+    if ilen > 0 then begin
+      Hashtbl.replace insns (base + !off) (Decoded.insn d !off, ilen);
+      Array.fill cover !off ilen (base + !off);
+      off := !off + ilen
+    end
+    else
+      (* Data byte (or an instruction spilling off the section). *)
+      incr off
   done;
   { base; len; cover; insns }
 

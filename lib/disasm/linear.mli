@@ -17,8 +17,9 @@ type t = {
   insns : (int, Zvm.Insn.t * int) Hashtbl.t;  (** start address -> (instruction, length) *)
 }
 
-val sweep : Zelf.Binary.t -> t
-(** Sweep the binary's text section. *)
+val sweep : ?decoded:Decoded.t -> Zelf.Binary.t -> t
+(** Sweep the binary's text section, reading candidates from [decoded]
+    (a fresh table when absent). *)
 
 val covering_start : t -> int -> int option
 (** Start address of the instruction covering the given address, or

@@ -52,14 +52,12 @@ let jump_table_entries binary ~lo ~hi table =
   in
   go 0 []
 
-let traverse binary =
-  let text = Zelf.Binary.text binary in
-  let base = text.Zelf.Section.vaddr in
-  let len = text.Zelf.Section.size in
+let traverse ?decoded binary =
+  let d = Decoded.for_binary ?decoded binary in
+  let base = Decoded.base d and len = Decoded.len d in
   let lo = base and hi = base + len in
   let cover = Array.make len (-1) in
   let insns = Hashtbl.create 256 in
-  let fetch a = Zelf.Binary.read8 binary a in
   let initial_seeds =
     binary.Zelf.Binary.entry :: scan_for_text_addresses binary |> List.sort_uniq compare
   in
@@ -69,32 +67,32 @@ let traverse binary =
   while not (Queue.is_empty work) do
     let addr = Queue.pop work in
     if addr >= lo && addr < hi && cover.(addr - base) = -1 then
-      match Zvm.Decode.decode ~fetch addr with
-      | Error _ -> ()
-      | Ok (_, ilen) when addr + ilen > hi -> ()
-      | Ok (insn, ilen) ->
-          (* Claim only if the bytes are not already claimed with a
-             different boundary; overlapping claims stay unresolved and
-             fall to the aggregation's conservative case. *)
-          let clash = ref false in
+      let ilen = Decoded.length d (addr - base) in
+      if ilen > 0 then begin
+        let insn = Decoded.insn d (addr - base) in
+        (* Claim only if the bytes are not already claimed with a
+           different boundary; overlapping claims stay unresolved and
+           fall to the aggregation's conservative case. *)
+        let clash = ref false in
+        for i = addr to addr + ilen - 1 do
+          if cover.(i - base) <> -1 then clash := true
+        done;
+        if not !clash then begin
+          Hashtbl.replace insns addr (insn, ilen);
           for i = addr to addr + ilen - 1 do
-            if cover.(i - base) <> -1 then clash := true
+            cover.(i - base) <- addr
           done;
-          if not !clash then begin
-            Hashtbl.replace insns addr (insn, ilen);
-            for i = addr to addr + ilen - 1 do
-              cover.(i - base) <- addr
-            done;
-            (match Zvm.Insn.static_target ~at:addr insn with
-            | Some tgt -> enqueue tgt
-            | None -> ());
-            if Zvm.Insn.has_fallthrough insn then enqueue (addr + ilen);
-            List.iter enqueue (immediate_code_refs ~lo ~hi insn);
-            match insn with
-            | Zvm.Insn.Jmpt (_, table) ->
-                List.iter enqueue (jump_table_entries binary ~lo ~hi table)
-            | _ -> ()
-          end
+          (match Zvm.Insn.static_target ~at:addr insn with
+          | Some tgt -> enqueue tgt
+          | None -> ());
+          if Zvm.Insn.has_fallthrough insn then enqueue (addr + ilen);
+          List.iter enqueue (immediate_code_refs ~lo ~hi insn);
+          match insn with
+          | Zvm.Insn.Jmpt (_, table) ->
+              List.iter enqueue (jump_table_entries binary ~lo ~hi table)
+          | _ -> ()
+        end
+      end
   done;
   { base; len; cover; insns; seeds = initial_seeds }
 

@@ -18,7 +18,9 @@ type t = {
   seeds : int list;  (** every traversal seed, for diagnostics *)
 }
 
-val traverse : Zelf.Binary.t -> t
+val traverse : ?decoded:Decoded.t -> Zelf.Binary.t -> t
+(** Traverse from the seeds, reading candidates from [decoded] (a fresh
+    table when absent). *)
 
 val covering_start : t -> int -> int option
 
@@ -29,3 +31,11 @@ val scan_for_text_addresses : Zelf.Binary.t -> int list
     section, whose value lies inside the text section.  The classic
     conservative address-constant scan (also used by the pinned-address
     analysis). *)
+
+val immediate_code_refs : lo:int -> hi:int -> Zvm.Insn.t -> int list
+(** Address-sized immediates of an instruction that fall in [\[lo, hi)]
+    (function-pointer materialization, return-address tricks). *)
+
+val jump_table_entries : Zelf.Binary.t -> lo:int -> hi:int -> int -> int list
+(** The jump-table heuristic: consecutive words from the table address
+    that are addresses in [\[lo, hi)], at most 256. *)

@@ -1,27 +1,15 @@
 (* Candidate instructions at every offset, pruned by flow validity. *)
 
-let decode_all binary =
-  let text = Zelf.Binary.text binary in
-  let base = text.Zelf.Section.vaddr in
-  let len = text.Zelf.Section.size in
-  let fetch a = Zelf.Binary.read8 binary a in
-  Array.init len (fun off ->
-      match Zvm.Decode.decode ~fetch (base + off) with
-      | Ok (insn, ilen) when off + ilen <= len -> Some (insn, ilen)
-      | _ -> None)
-
-let prune_fixpoint binary =
-  let text = Zelf.Binary.text binary in
-  let base = text.Zelf.Section.vaddr in
-  let len = text.Zelf.Section.size in
-  let candidates = decode_all binary in
-  let alive = Array.map Option.is_some candidates in
+let prune_fixpoint ?decoded binary =
+  let d = Decoded.for_binary ?decoded binary in
+  let base = Decoded.base d and len = Decoded.len d in
+  let alive = Array.init len (fun off -> Decoded.length d off > 0) in
   let changed = ref true in
   while !changed do
     changed := false;
     for off = 0 to len - 1 do
       if alive.(off) then begin
-        let insn, ilen = Option.get candidates.(off) in
+        let insn = Decoded.insn d off and ilen = Decoded.length d off in
         let addr = base + off in
         let dead_flow target =
           (* Flow into the text at a dead offset kills the candidate;
@@ -44,23 +32,19 @@ let prune_fixpoint binary =
   done;
   alive
 
-let run binary ~avoid =
-  let text = Zelf.Binary.text binary in
-  let base = text.Zelf.Section.vaddr in
-  let len = text.Zelf.Section.size in
-  let candidates = decode_all binary in
-  let alive = prune_fixpoint binary in
+let run ?decoded binary ~avoid =
+  let d = Decoded.for_binary ?decoded binary in
+  let base = Decoded.base d and len = Decoded.len d in
+  let alive = prune_fixpoint ~decoded:d binary in
   (* Score surviving candidates: references from other survivors are
      evidence (probabilistic-disassembly flavour). *)
   let score = Array.make len 0 in
   for off = 0 to len - 1 do
-    if alive.(off) then begin
-      let insn, _ = Option.get candidates.(off) in
-      match Zvm.Insn.static_target ~at:(base + off) insn with
+    if alive.(off) then
+      match Zvm.Insn.static_target ~at:(base + off) (Decoded.insn d off) with
       | Some t when t >= base && t < base + len && alive.(t - base) ->
           score.(t - base) <- score.(t - base) + 1
       | _ -> ()
-    end
   done;
   (* Greedy tiling: walk fallthrough chains from the best-scored seeds,
      claiming bytes not already claimed and not covered by [avoid]. *)
@@ -77,27 +61,37 @@ let run binary ~avoid =
   let claim_chain start =
     let rec go off =
       if off < len && alive.(off) && not (avoided off) then
-        match candidates.(off) with
-        | Some (insn, ilen) when free off ilen ->
-            for i = off to off + ilen - 1 do
-              claims.(i) <- Source.Code (base + off)
-            done;
-            Hashtbl.replace insns (base + off) (insn, ilen);
-            if Zvm.Insn.has_fallthrough insn && insn <> Zvm.Insn.Sys 0 then go (off + ilen)
-        | _ -> ()
+        let insn = Decoded.insn d off and ilen = Decoded.length d off in
+        if free off ilen then begin
+          for i = off to off + ilen - 1 do
+            claims.(i) <- Source.Code (base + off)
+          done;
+          Hashtbl.replace insns (base + off) (insn, ilen);
+          if Zvm.Insn.has_fallthrough insn && insn <> Zvm.Insn.Sys 0 then go (off + ilen)
+        end
     in
     go start
   in
-  let seeds =
-    List.init len Fun.id
-    |> List.filter (fun off -> alive.(off))
-    |> List.sort (fun a b -> compare (score.(b), a) (score.(a), b))
-  in
-  List.iter claim_chain seeds;
+  (* Seeds: surviving offsets, best score first, ties by offset. *)
+  let n_alive = Array.fold_left (fun n a -> if a then n + 1 else n) 0 alive in
+  let seeds = Array.make n_alive 0 in
+  let k = ref 0 in
+  for off = 0 to len - 1 do
+    if alive.(off) then begin
+      seeds.(!k) <- off;
+      incr k
+    end
+  done;
+  Array.sort
+    (fun a b ->
+      let c = Int.compare score.(b) score.(a) in
+      if c <> 0 then c else Int.compare a b)
+    seeds;
+  Array.iter claim_chain seeds;
   (* Undecodable bytes are conclusive data; everything else we did not
      tile stays unknown (we are a low-confidence, best-effort source). *)
   for off = 0 to len - 1 do
-    if claims.(off) = Source.Unknown && candidates.(off) = None && not (avoided off) then
+    if claims.(off) = Source.Unknown && Decoded.length d off = 0 && not (avoided off) then
       claims.(off) <- Source.Data
   done;
   {

@@ -16,15 +16,12 @@
     which sharpen the fixed-range CFGs and the [Fixed_target] pin
     analysis. *)
 
-val run : Zelf.Binary.t -> avoid:Recursive.t -> Source.t
+val run : ?decoded:Decoded.t -> Zelf.Binary.t -> avoid:Recursive.t -> Source.t
 (** Speculative source for the binary's text section, abstaining on bytes
-    [avoid] covers. *)
+    [avoid] covers.  Reads candidates from [decoded] (a fresh table when
+    absent), decoding every offset. *)
 
-val prune_fixpoint : Zelf.Binary.t -> bool array
-(** Exposed for tests: per text byte, is there a {e surviving} candidate
-    instruction starting at that offset after invalid-flow pruning? *)
-
-val decode_all : Zelf.Binary.t -> (Zvm.Insn.t * int) option array
-(** The raw candidate decode at every text offset ([None] where the bytes
-    do not decode or the instruction would spill off the section); the
-    input to the prune fixpoint and to {!Infer}'s fact propagation. *)
+val prune_fixpoint : ?decoded:Decoded.t -> Zelf.Binary.t -> bool array
+(** Per text byte, is there a {e surviving} candidate instruction
+    starting at that offset after invalid-flow pruning?  The input to
+    the greedy tiling and to {!Infer}'s fact propagation. *)

@@ -94,21 +94,21 @@ let test_large_par_build () =
 let test_adversarial_fragment_falls_back () =
   let binary = (Scale.generate_one ~seed:23 0).Scale.binary in
   let scan = Chunker.scan binary in
-  let text_end = scan.Chunker.base + scan.Chunker.len in
+  let decoded = Disasm.Decoded.create binary in
   let rec_ = Disasm.Recursive.traverse binary in
   let c =
     match
       Array.find_opt
         (fun (c : Chunker.chunk) ->
           Array.length
-            (Zipr.Stitch.local_linear binary ~text_end c).Zipr.Stitch.boundaries
+            (Zipr.Stitch.local_linear decoded c).Zipr.Stitch.boundaries
           > 1)
         scan.Chunker.chunks
     with
     | Some c -> c
     | None -> Alcotest.fail "no chunk with two boundaries"
   in
-  let f = Zipr.Stitch.local_linear binary ~text_end c in
+  let f = Zipr.Stitch.local_linear decoded c in
   (* The honest framing validates. *)
   Zipr.Stitch.validate_chunk rec_ c f;
   let shifted =

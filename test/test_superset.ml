@@ -58,7 +58,10 @@ let test_three_way_run_equivalent_verdicts () =
   let binary, _ = Testprogs.assemble (Testprogs.dispatch_program ()) in
   let lin = Disasm.Linear.sweep binary in
   let rec_ = Disasm.Recursive.traverse binary in
-  let two = Disasm.Aggregate.combine binary lin rec_ in
+  let two =
+    Disasm.Aggregate.combine_sources binary
+      [ Disasm.Source.of_linear lin; Disasm.Source.of_recursive rec_ ]
+  in
   let three = Disasm.Aggregate.run binary in
   Alcotest.(check bool) "same verdicts" true
     (two.Disasm.Aggregate.verdicts = three.Disasm.Aggregate.verdicts)

@@ -367,7 +367,7 @@ let disasm_cmd =
               done;
               Printf.printf "%08x  <data: %d bytes>\n" start (!addr - start)
           | _ -> (
-              match Hashtbl.find_opt agg.Disasm.Aggregate.insn_at !addr with
+              match Disasm.Aggregate.boundary agg !addr with
               | Some (insn, len) ->
                   Printf.printf "%08x  %-28s%s%s\n" !addr (Zvm.Insn.to_string insn)
                     (if Analysis.Ibt.is_pinned pins !addr then "  [pinned]" else "")

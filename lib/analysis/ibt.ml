@@ -57,8 +57,10 @@ let compute ?(config = default_config) binary (agg : Disasm.Aggregate.t) =
      fixed ranges. *)
   let ambiguous = Zipr_util.Interval_set.of_ranges (Disasm.Aggregate.ambiguous_ranges agg) in
   let in_ambiguous addr = Zipr_util.Interval_set.mem ambiguous addr in
-  Hashtbl.iter
-    (fun addr (insn, len) ->
+  (* By ascending address, so each pin's reason list is a function of the
+     aggregate alone. *)
+  Disasm.Aggregate.iter_boundaries
+    (fun addr insn len ->
       List.iter (fun a -> add t a Code_immediate) (immediate_refs ~lo ~hi insn);
       (match insn with
       | Zvm.Insn.Call _ | Zvm.Insn.Callr _ when config.pin_after_calls ->
@@ -74,7 +76,7 @@ let compute ?(config = default_config) binary (agg : Disasm.Aggregate.t) =
         if Zvm.Insn.has_fallthrough insn && (not (in_ambiguous (addr + len))) && addr + len < hi
         then add t (addr + len) Fixed_fallthrough
       end)
-    agg.Disasm.Aggregate.insn_at;
+    agg;
   t
 
 let pins t =

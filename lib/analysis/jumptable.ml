@@ -13,15 +13,17 @@ let scan_entries binary ~lo ~hi table_addr =
 let find binary (agg : Disasm.Aggregate.t) =
   let text = Zelf.Binary.text binary in
   let lo = text.Zelf.Section.vaddr and hi = Zelf.Section.vend text in
-  Hashtbl.fold
-    (fun addr (insn, _len) acc ->
+  let tables = ref [] in
+  Disasm.Aggregate.iter_boundaries
+    (fun addr insn _ ->
       match insn with
       | Zvm.Insn.Jmpt (_, table_addr) ->
-          { dispatch_at = addr; table_addr; entries = scan_entries binary ~lo ~hi table_addr }
-          :: acc
-      | _ -> acc)
-    agg.Disasm.Aggregate.insn_at []
-  |> List.sort (fun a b -> compare a.dispatch_at b.dispatch_at)
+          tables :=
+            { dispatch_at = addr; table_addr; entries = scan_entries binary ~lo ~hi table_addr }
+            :: !tables
+      | _ -> ())
+    agg;
+  List.rev !tables
 
 let all_entries tables =
   List.concat_map (fun t -> t.entries) tables |> List.sort_uniq compare

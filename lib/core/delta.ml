@@ -150,12 +150,14 @@ let decode_fragment s =
 
 let weigh_fragment f = 64 + (56 * Array.length f.boundaries)
 
-(* A resident memo entry holds the whole IR: rows, links, the aggregate's
-   per-byte verdict array and boundary table, the pin list.  The memo is
-   bounded by entry count only; this rough per-row and per-text-byte
-   estimate feeds its [delta.memo.resident_bytes] gauge. *)
+(* A resident memo entry holds the whole IR: rows, links and the pin
+   list (per row), and the aggregate's per-byte verdict array (8 bytes a
+   text byte) and dense boundary store (a length byte and an instruction
+   slot, 9 bytes a text byte; the boundary instructions themselves are
+   counted with the rows).  The memo is bounded by entry count only;
+   this rough estimate feeds its [delta.memo.resident_bytes] gauge. *)
 let weigh_memo ((ir : Ir_construction.t), _) =
-  1024 + (3 * ir.Ir_construction.aggregate.Agg.len) + (160 * Db.count ir.Ir_construction.db)
+  1024 + (17 * ir.Ir_construction.aggregate.Agg.len) + (160 * Db.count ir.Ir_construction.db)
 
 let create ?fragment_bytes ?(memo_capacity = 64) ?dir ?max_disk_entries ?max_disk_bytes
     () =
@@ -237,11 +239,13 @@ let stitch t ~pin_config ~infer binary ~decoded ~memo_key ~(scan : Chunker.t) ~c
         Array.iteri
           (fun i c -> Stitch.validate_chunk ~scratch rec_ c (fst resolved.(i)))
           scan.Chunker.chunks;
-        resolved)
+        (rec_, resolved))
   with
   | exception Stitch.Fallback -> None
-  | resolved ->
-      let agg = Stitch.assemble ~infer binary scan (Array.map fst resolved) in
+  | rec_, resolved ->
+      (* Every chunk of a tiling of the whole text validated: the merged
+         fragments are the traversal. *)
+      let agg = Stitch.of_recursive ~infer binary rec_ in
       let ir = Ir_construction.build_from_aggregate ~pin_config binary agg in
       Array.iteri
         (fun i (f, rebuilt) ->
@@ -331,7 +335,7 @@ let gate_chunk (agg : Agg.t) (c : Chunker.chunk) =
     | Agg.Ambiguous -> ok := false
     | Agg.Data -> incr off
     | Agg.Code -> (
-        match Hashtbl.find_opt agg.Agg.insn_at !off with
+        match Agg.boundary agg !off with
         | Some (insn, ilen) when !off + ilen <= c.Chunker.hi ->
             let all_code = ref true in
             for j = !off to !off + ilen - 1 do

@@ -11,21 +11,6 @@ type t = {
   warnings : string list;
 }
 
-let data_ranges_of agg =
-  let ranges = ref [] in
-  let start = ref (-1) in
-  for off = 0 to agg.Agg.len - 1 do
-    match (agg.Agg.verdicts.(off), !start) with
-    | Agg.Data, -1 -> start := off
-    | Agg.Data, _ -> ()
-    | _, -1 -> ()
-    | _, s ->
-        ranges := (agg.Agg.base + s, agg.Agg.base + off) :: !ranges;
-        start := -1
-  done;
-  if !start >= 0 then ranges := (agg.Agg.base + !start, agg.Agg.base + agg.Agg.len) :: !ranges;
-  List.rev !ranges
-
 (* [sys 0] is the terminate system call: its syscall number is an
    immediate, so it statically never falls through.  Cutting the edge here
    keeps dead code after exit paths from being glued onto live dollops and
@@ -97,64 +82,60 @@ let build_from_aggregate ?pin_config binary (aggregate : Agg.t) =
     Obs.span "pins" (fun () -> Analysis.Ibt.compute ?config:pin_config binary aggregate)
   in
   Obs.span "irdb_build" (fun () ->
-  let fixed_ranges = Agg.ambiguous_ranges aggregate in
-  let data_ranges = data_ranges_of aggregate in
-  (* Containment queries (fixed?/data?) run once per boundary and once per
-     pin; interval sets make them O(log n) instead of a scan of the range
-     list. *)
-  let in_fixed = Iset.mem (Iset.of_ranges fixed_ranges) in
-  let in_data = Iset.mem (Iset.of_ranges data_ranges) in
-  let n_boundaries = Hashtbl.length aggregate.Agg.insn_at in
-  let db = Db.create ~size_hint:n_boundaries ~orig:binary () in
-  (* Bucket the decoded boundaries by text offset instead of sorting.
-     Ascending address stays the canonical row order (ids independent of
-     hash-table iteration order — the cache depends on cold builds being
-     reproducible) at O(len) instead of O(n log n), and the offset-indexed
-     id table hands the link pass its fallthrough successors and branch
-     targets without by-address hash lookups. *)
+  let fixed_ranges, data_ranges, in_fixed, in_data =
+    Obs.span "ranges" (fun () ->
+        let fixed = Agg.ambiguous_ranges aggregate and data = Agg.data_ranges aggregate in
+        (* Containment queries (fixed?/data?) run once per boundary and
+           once per pin; interval sets make them O(log n) instead of a
+           scan of the range list. *)
+        (fixed, data, Iset.mem (Iset.of_ranges fixed), Iset.mem (Iset.of_ranges data)))
+  in
+  (* Rows in ascending address order (canonical: ids are independent of
+     how the aggregate was acquired — the cache depends on cold builds
+     being reproducible), and an offset-indexed id table that hands the
+     link pass its fallthrough successors and branch targets without
+     by-address hash lookups. *)
   let base = aggregate.Agg.base and alen = aggregate.Agg.len in
-  let slot = Array.make alen None in
-  Hashtbl.iter (fun addr b -> slot.(addr - base) <- Some b) aggregate.Agg.insn_at;
-  let ids = Array.make alen (-1) in
-  for off = 0 to alen - 1 do
-    match slot.(off) with
-    | None -> ()
-    | Some (insn, _len) ->
-        let addr = base + off in
-        let id = Db.add_insn ~orig_addr:addr db insn in
-        ids.(off) <- id;
-        (* Fixed rows keep original bytes; marking here folds the old
-           whole-db sweep into row creation. *)
-        if in_fixed addr then (Db.row db id).Db.fixed <- true
-  done;
-  (* Logical links, one pass over the same offset table. *)
-  for off = 0 to alen - 1 do
-    match slot.(off) with
-    | None -> ()
-    | Some (insn, len) ->
-        let addr = base + off in
-        let id = ids.(off) in
-        (if falls_through insn then
-           let nxt = off + len in
-           match (if nxt < alen then ids.(nxt) else -1) with
-           | -1 ->
-               (* Falling into data or off the section: leave open. *)
-               if not (in_data (addr + len)) then
-                 warnings :=
-                   Printf.sprintf "instruction at 0x%x falls through to unknown 0x%x" addr
-                     (addr + len)
-                   :: !warnings
-           | ft -> Db.set_fallthrough db id (Some ft));
-        (match Zvm.Insn.static_target ~at:addr insn with
-        | Some tgt -> (
-            let toff = tgt - base in
-            match (if toff >= 0 && toff < alen then ids.(toff) else -1) with
-            | -1 ->
-                warnings :=
-                  Printf.sprintf "branch at 0x%x targets unknown 0x%x" addr tgt :: !warnings
-            | tid -> Db.set_target db id (Some tid))
-        | None -> ())
-  done;
+  let db, ids =
+    Obs.span "rows" (fun () ->
+        let db = Db.create ~size_hint:(Agg.boundary_count aggregate) ~orig:binary () in
+        let ids = Array.make alen (-1) in
+        Agg.iter_boundaries
+          (fun addr insn _ ->
+            let id = Db.add_insn ~orig_addr:addr db insn in
+            ids.(addr - base) <- id;
+            (* Fixed rows keep original bytes; marking here folds the old
+               whole-db sweep into row creation. *)
+            if in_fixed addr then (Db.row db id).Db.fixed <- true)
+          aggregate;
+        (db, ids))
+  in
+  (* Logical links, one more pass over the boundaries. *)
+  Obs.span "links" (fun () ->
+      Agg.iter_boundaries
+        (fun addr insn len ->
+          let id = ids.(addr - base) in
+          (if falls_through insn then
+             let nxt = addr - base + len in
+             match (if nxt < alen then ids.(nxt) else -1) with
+             | -1 ->
+                 (* Falling into data or off the section: leave open. *)
+                 if not (in_data (addr + len)) then
+                   warnings :=
+                     Printf.sprintf "instruction at 0x%x falls through to unknown 0x%x" addr
+                       (addr + len)
+                     :: !warnings
+             | ft -> Db.set_fallthrough db id (Some ft));
+          match Zvm.Insn.static_target ~at:addr insn with
+          | Some tgt -> (
+              let toff = tgt - base in
+              match (if toff >= 0 && toff < alen then ids.(toff) else -1) with
+              | -1 ->
+                  warnings :=
+                    Printf.sprintf "branch at 0x%x targets unknown 0x%x" addr tgt :: !warnings
+              | tid -> Db.set_target db id (Some tid))
+          | None -> ())
+        aggregate);
   (* Mandatory transformations, before user transforms see the IR. *)
   Obs.span "mandatory" (fun () -> Mandatory.apply db);
   (* Pin assignment.  Pins that may be targeted by an indirect branch are
@@ -266,15 +247,13 @@ let snapshot t =
   done;
   Buffer.add_char buf '\n';
   (* Decoded boundaries, ascending address (canonical, diff-friendly). *)
-  let boundaries = Array.of_seq (Hashtbl.to_seq agg.Agg.insn_at) in
-  Array.sort (fun (a, _) (b, _) -> compare a b) boundaries;
-  Array.iter
-    (fun (addr, (insn, len)) ->
+  Agg.iter_boundaries
+    (fun addr insn len ->
       Buffer.add_string buf
         (Printf.sprintf "A %d %s %d\n" addr
            (Zipr_util.Hex.of_bytes (Zvm.Encode.to_bytes insn))
            len))
-    boundaries;
+    agg;
   (* Aggregation tally (per-case byte counts) and refined-byte runs, so
      cache hits reproduce the same stats and refinement provenance as the
      cold build.  Absent in older payloads; restore then falls back to a
@@ -342,7 +321,7 @@ let split_at_db_marker s =
     in
     go 0
 
-let restore binary payload =
+let restore ?decoded binary payload =
   try
     let header, dump =
       match split_at_db_marker payload with
@@ -351,7 +330,10 @@ let restore binary payload =
     in
     let base = ref 0 and len = ref (-1) in
     let verdicts = ref [||] in
-    let insn_at = Hashtbl.create 1024 in
+    let boundaries = ref (Agg.empty_boundaries 0) in
+    (* Every boundary is checked against the text's decode table, which
+       its instruction then comes from. *)
+    let d = Disasm.Decoded.for_binary ?decoded binary in
     let agg_warnings = ref [] in
     let ir_warnings = ref [] in
     let pin_list = ref [] in
@@ -370,7 +352,10 @@ let restore binary payload =
         | [ "B"; b; l ] ->
             base := int_of_string b;
             len := int_of_string l;
-            verdicts := Array.make !len Agg.Data
+            if !base <> Disasm.Decoded.base d || !len <> Disasm.Decoded.len d then
+              fail "text range differs from the binary's";
+            verdicts := Array.make !len Agg.Data;
+            boundaries := Agg.empty_boundaries !len
         | "V" :: runs ->
             if !len < 0 then fail "V before B";
             let off = ref 0 in
@@ -389,16 +374,17 @@ let restore binary payload =
                 end)
               runs;
             if !off <> !len then fail "verdict runs do not cover section"
-        | [ "A"; addr; hex; ilen ] -> (
-            let bytes = Zipr_util.Hex.to_bytes hex in
-            match Zvm.Decode.decode_bytes bytes ~pos:0 with
-            | Error e ->
-                fail
-                  (Printf.sprintf "bad boundary instruction: %s"
-                     (Zvm.Decode.error_to_string e))
-            | Ok (insn, declen) ->
-                if declen <> Bytes.length bytes then fail "trailing bytes in boundary";
-                Hashtbl.replace insn_at (int_of_string addr) (insn, int_of_string ilen))
+        | [ "A"; addr; hex; ilen ] ->
+            (* The record must be what [snapshot] writes for this text: the
+               table's entry at its offset, in canonical encoding. *)
+            let off = int_of_string addr - !base in
+            if
+              off < 0 || off >= !len
+              || Disasm.Decoded.length d off <> int_of_string ilen
+              || Disasm.Decoded.length d off = 0
+              || Zipr_util.Hex.of_bytes (Zvm.Encode.to_bytes (Disasm.Decoded.insn d off)) <> hex
+            then fail "boundary disagrees with the text";
+            Agg.add_boundary !boundaries d off
         | [ "T"; c1c; c1d; c2; c3; c4; ov; rc; rd ] ->
             tally :=
               Some
@@ -441,7 +427,7 @@ let restore binary payload =
         Agg.base = !base;
         len = !len;
         verdicts = !verdicts;
-        insn_at;
+        boundaries = !boundaries;
         warnings = List.rev !agg_warnings;
         tally =
           (match !tally with
@@ -453,7 +439,7 @@ let restore binary payload =
         pin_hints = !pin_hints;
       }
     in
-    match Irdb.Dump.deserialize_exact ~size_hint:(Hashtbl.length insn_at) ~orig:binary dump with
+    match Irdb.Dump.deserialize_exact ~size_hint:(Agg.boundary_count aggregate) ~orig:binary dump with
     | Error msg -> Error ("irdb: " ^ msg)
     | Ok db ->
         Ok
@@ -464,7 +450,7 @@ let restore binary payload =
             (* Pure functions of the verdicts; cheaper to recompute than
                to persist and cross-check. *)
             fixed_ranges = Agg.ambiguous_ranges aggregate;
-            data_ranges = data_ranges_of aggregate;
+            data_ranges = Agg.data_ranges aggregate;
             warnings = List.rev !ir_warnings;
           }
   with
@@ -472,3 +458,4 @@ let restore binary payload =
   | Scanf.Scan_failure msg -> Error msg
   | Failure msg -> Error msg
   | Invalid_argument msg -> Error msg
+  | Not_found -> Error "no text section"

@@ -75,9 +75,11 @@ val infer_codec_version : string
 
 val snapshot : t -> string
 
-val restore : Zelf.Binary.t -> string -> (t, string) result
+val restore : ?decoded:Disasm.Decoded.t -> Zelf.Binary.t -> string -> (t, string) result
 (** Rebuild a [build] result from [snapshot] output over the same binary.
     [restore binary (snapshot (build binary))] is structurally identical
     to the original — same row ids, links, pins, marks, functions, entry,
     warnings — so downstream phases cannot distinguish a cache hit from a
-    cold build. *)
+    cold build.  Every boundary record is checked against the text's
+    decode table ([decoded], a fresh one when absent); a payload whose
+    boundaries or text range disagree with the binary is an [Error]. *)

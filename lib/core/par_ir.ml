@@ -14,8 +14,8 @@
    stitch does.  When every chunk validates, the validated claims
    coincide with the traversal by construction, so the merged aggregate
    is materialized directly from it ({!Stitch.of_recursive}) and fed to
-   the same sorted-boundary {!Ir_construction.build_from_aggregate} run
-   as the cold path — provably the same result (see {!Stitch} and
+   the same {!Ir_construction.build_from_aggregate} run as the cold
+   path — provably the same result (see {!Stitch} and
    DESIGN.md §14).  The superset source is skipped entirely: under the
    validation invariant it is fully determined (abstain on recursive
    bytes, Data on gaps), which is where most of the single-binary
@@ -55,7 +55,7 @@ let tile (rec_ : Disasm.Recursive.t) =
   while !lo < len do
     let p = ref (min len (!lo + target)) in
     while
-      !p < len && not (cover.(!p) = -1 || cover.(!p) = base + !p)
+      !p < len && not (cover.(!p) = Disasm.Claim.unknown || cover.(!p) = base + !p)
     do
       incr p
     done;
@@ -90,7 +90,7 @@ let build ~jobs ~pin_config ?(infer = false) ?decoded binary =
           try
             for i = lo to hi - 1 do
               if not (Atomic.get failed) then
-                Stitch.validate_span decoded rec_ chunks.(i)
+                Stitch.validate_span rec_ chunks.(i)
             done
           with Stitch.Fallback -> Atomic.set failed true
         in

@@ -127,12 +127,14 @@ let obtain_ir ?ir_cache ?routine_cache ?(ir_jobs = 1) ?(infer = false) ~pin_conf
   in
   let from_snapshots ?decoded cache =
     let key = ir_cache_key ~pin_config ~infer binary in
+    (* Restore checks boundaries against the table a miss then builds on. *)
+    let decoded = Disasm.Decoded.for_binary ?decoded binary in
     let restored =
       Option.bind (Irdb.Cache.find cache key) (fun payload ->
           match
             timed (fun () ->
                 Obs.span "ir" ~args:[ ("source", "cache") ] (fun () ->
-                    Ir_construction.restore binary payload))
+                    Ir_construction.restore ~decoded binary payload))
           with
           | Ok ir, t -> Some (ir, t)
           | Error _, _ -> None)
@@ -142,7 +144,7 @@ let obtain_ir ?ir_cache ?routine_cache ?(ir_jobs = 1) ?(infer = false) ~pin_conf
         Obs.count "pipeline.ir_cache_hits" 1;
         ((ir, { zero_cache_stats with ir_cache_hits = 1 }), t)
     | None ->
-        let (ir, stats), t = build ?decoded () in
+        let (ir, stats), t = build ~decoded () in
         Irdb.Cache.store cache ~key (Ir_construction.snapshot ir);
         Obs.count "pipeline.ir_cache_misses" 1;
         ((ir, { stats with ir_cache_misses = 1 }), t)

@@ -719,46 +719,51 @@ let run ?(strategy = Placement.optimized) ?(seed = 1) (ir : Ir_construction.t) =
   let text = Zelf.Binary.text binary in
   let text_lo = text.Zelf.Section.vaddr in
   let text_hi = Zelf.Section.vend text in
-  (* Prefer growing the text section in place: overflow goes directly
-     after the original text when the gap to the next section allows,
-     producing a single (larger) text section; otherwise a detached
-     ".ztext" section is appended past everything. *)
-  let next_section_start =
-    List.fold_left
-      (fun acc (s : Zelf.Section.t) ->
-        if s.Zelf.Section.vaddr >= text_hi then
-          Some (match acc with Some a -> min a s.Zelf.Section.vaddr | None -> s.Zelf.Section.vaddr)
-        else acc)
-      None binary.Zelf.Binary.sections
-  in
-  let overflow_base, overflow_cap, contiguous =
-    match next_section_start with
-    | Some ns when ns - text_hi >= 8192 -> (text_hi, ns - text_hi - 4096, true)
-    | None -> (text_hi, 1 lsl 28, true)
-    | Some _ -> (Db.next_free_vaddr db + 4096, 1 lsl 28, false)
-  in
-  let buf = Codebuf.create ~text_lo ~text_hi ~overflow_base in
-  let space = Memspace.create ~overflow_cap ~text_lo ~text_hi ~overflow_base () in
-  let pins_all = Db.pinned_addresses db in
-  let pinned_pages = Hashtbl.create 16 in
-  List.iter (fun (a, _) -> Hashtbl.replace pinned_pages (a / 4096) ()) pins_all;
-  let st =
-    {
-      db;
-      buf;
-      space;
-      m = Hashtbl.create 1024;
-      udr = Queue.create ();
-      pin_sites = Hashtbl.create 64;
-      cancelled = Hashtbl.create 16;
-      dcache = Hashtbl.create 64;
-      rng = Rng.create seed;
-      strategy;
-      pinned_page = (fun p -> Hashtbl.mem pinned_pages p);
-      tally = Cost.make_tally ();
-      k = make_run_counters ();
-      warnings = [];
-    }
+  (* 0. Output buffers, the free-space map and the placement state. *)
+  let buf, space, pins_all, overflow_base, contiguous, st =
+    Obs.span "setup" (fun () ->
+      (* Prefer growing the text section in place: overflow goes directly
+         after the original text when the gap to the next section allows,
+         producing a single (larger) text section; otherwise a detached
+         ".ztext" section is appended past everything. *)
+      let next_section_start =
+        List.fold_left
+          (fun acc (s : Zelf.Section.t) ->
+            if s.Zelf.Section.vaddr >= text_hi then
+              Some (match acc with Some a -> min a s.Zelf.Section.vaddr | None -> s.Zelf.Section.vaddr)
+            else acc)
+          None binary.Zelf.Binary.sections
+      in
+      let overflow_base, overflow_cap, contiguous =
+        match next_section_start with
+        | Some ns when ns - text_hi >= 8192 -> (text_hi, ns - text_hi - 4096, true)
+        | None -> (text_hi, 1 lsl 28, true)
+        | Some _ -> (Db.next_free_vaddr db + 4096, 1 lsl 28, false)
+      in
+      let buf = Codebuf.create ~text_lo ~text_hi ~overflow_base in
+      let space = Memspace.create ~overflow_cap ~text_lo ~text_hi ~overflow_base () in
+      let pins_all = Db.pinned_addresses db in
+      let pinned_pages = Hashtbl.create 16 in
+      List.iter (fun (a, _) -> Hashtbl.replace pinned_pages (a / 4096) ()) pins_all;
+      let st =
+        {
+          db;
+          buf;
+          space;
+          m = Hashtbl.create 1024;
+          udr = Queue.create ();
+          pin_sites = Hashtbl.create 64;
+          cancelled = Hashtbl.create 16;
+          dcache = Hashtbl.create 64;
+          rng = Rng.create seed;
+          strategy;
+          pinned_page = (fun p -> Hashtbl.mem pinned_pages p);
+          tally = Cost.make_tally ();
+          k = make_run_counters ();
+          warnings = [];
+        }
+      in
+      (buf, space, pins_all, overflow_base, contiguous, st))
   in
   (* 1. Ranges that keep their original bytes. *)
   let copy_range (lo, hi) =

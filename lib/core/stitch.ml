@@ -53,8 +53,8 @@ let take cl =
   out
 
 let expect_buf s n =
-  if Array.length s.expect < n then s.expect <- Array.make n (-1)
-  else Array.fill s.expect 0 n (-1);
+  if Array.length s.expect < n then s.expect <- Array.make n Disasm.Claim.unknown
+  else Array.fill s.expect 0 n Disasm.Claim.unknown;
   s.expect
 
 (* ---------- per-chunk framing and validation ---------- *)
@@ -86,124 +86,96 @@ let local_linear ?scratch d (c : Chunker.chunk) =
   { boundaries = take cl }
 
 (* The stitched framing of a chunk is usable iff it coincides exactly
-   with recursive traversal inside the chunk: every boundary is a
-   recursive instruction with identical decode, every recursively
-   reached byte is covered by a boundary with that start, every gap
-   byte is unreached.  Raises {!Fallback} otherwise. *)
+   with recursive traversal inside the chunk: every boundary is the
+   traversal's table entry (a cached fragment may come from an older
+   version of the binary), every recursively reached byte is covered by
+   a boundary with that start, every gap byte is unreached.  Raises
+   {!Fallback} otherwise. *)
 let validate_chunk ?scratch (rec_ : Disasm.Recursive.t) (c : Chunker.chunk) f =
   let clen = c.Chunker.hi - c.Chunker.lo in
   let expect =
-    match scratch with Some s -> expect_buf s clen | None -> Array.make clen (-1)
+    match scratch with
+    | Some s -> expect_buf s clen
+    | None -> Array.make clen Disasm.Claim.unknown
   in
+  let base = rec_.Disasm.Recursive.base and d = rec_.Disasm.Recursive.decoded in
   let prev_end = ref 0 in
   Array.iter
     (fun (rel, insn, ilen) ->
       if rel < !prev_end || rel + ilen > clen then raise Fallback;
       prev_end := rel + ilen;
-      (match Hashtbl.find_opt rec_.Disasm.Recursive.insns (c.Chunker.lo + rel) with
-      | Some (insn', ilen') when ilen' = ilen && insn' = insn -> ()
-      | _ -> raise Fallback);
-      for i = rel to rel + ilen - 1 do
-        expect.(i) <- c.Chunker.lo + rel
-      done)
+      let off = c.Chunker.lo + rel - base in
+      if Disasm.Decoded.length d off <> ilen || Disasm.Decoded.insn d off <> insn then
+        raise Fallback;
+      Array.fill expect rel ilen (c.Chunker.lo + rel))
     f.boundaries;
-  let base = rec_.Disasm.Recursive.base in
   for off = 0 to clen - 1 do
     if rec_.Disasm.Recursive.cover.(c.Chunker.lo + off - base) <> expect.(off) then
       raise Fallback
   done
 
 (* Fused framing + validation of one chunk, allocation-free: decode the
-   chunk's linear framing and compare it against the recursive cover in
-   the same pass instead of materializing a fragment and an expected-
-   cover array.  Equivalent to [local_linear] followed by
-   [validate_chunk] — every local boundary must be a recursive
-   instruction with identical decode whose span the cover attributes to
-   it, and every undecodable byte must be unreached — but with nothing
-   to keep, which is what the domain-parallel builder wants: its chunk
-   tasks are pure validators (the validated claims coincide with the
-   traversal, so the merge materializes from the traversal directly).
-   Raises {!Fallback} on any disagreement. *)
-let validate_span d (rec_ : Disasm.Recursive.t) (c : Chunker.chunk) =
-  let base = rec_.Disasm.Recursive.base in
+   chunk's linear framing from the traversal's own table and compare it
+   against the recursive cover in the same pass instead of materializing
+   a fragment and an expected-cover array.  Equivalent to [local_linear]
+   followed by [validate_chunk] — the span of every local boundary must
+   be attributed to it by the cover, and every undecodable byte must be
+   unreached; both sides read one table, so their instructions agree by
+   construction — but with nothing to keep, which is what the
+   domain-parallel builder wants: its chunk tasks are pure validators
+   (the validated claims coincide with the traversal, so the merge
+   materializes from the traversal directly).  Raises {!Fallback} on any
+   disagreement. *)
+let validate_span (rec_ : Disasm.Recursive.t) (c : Chunker.chunk) =
+  let base = rec_.Disasm.Recursive.base and d = rec_.Disasm.Recursive.decoded in
   let cover = rec_.Disasm.Recursive.cover in
   let pos = ref c.Chunker.lo in
   while !pos < c.Chunker.hi do
     let ilen = Disasm.Decoded.length d (!pos - base) in
     if ilen > 0 then begin
       if !pos + ilen > c.Chunker.hi then raise Fallback;
-      (match Hashtbl.find_opt rec_.Disasm.Recursive.insns !pos with
-      | Some (insn', ilen') when ilen' = ilen && insn' = Disasm.Decoded.insn d (!pos - base)
-        ->
-          ()
-      | _ -> raise Fallback);
       for i = !pos to !pos + ilen - 1 do
         if cover.(i - base) <> !pos then raise Fallback
       done;
       pos := !pos + ilen
     end
     else begin
-      if cover.(!pos - base) <> -1 then raise Fallback;
+      if cover.(!pos - base) <> Disasm.Claim.unknown then raise Fallback;
       incr pos
     end
   done
 
 (* ---------- aggregate assembly ---------- *)
 
-(* One merge pass over all validated fragments, in chunk (= address)
-   order: gap bytes stay Data, boundary spans become Code, and the
-   boundary table is rebuilt.  Only called on fully validated tilings,
-   so no warnings can arise.  With [~infer:true] the aggregate carries
-   the same pin hints the cold inference pass derives: a validated
-   tiling has no ambiguity, so the cold pass performs exactly one
-   computed-target resolution round over exactly these boundaries
-   ({!Disasm.Infer.resolve_pins}). *)
-let assemble ?(infer = false) binary (scan : Chunker.t) (frags : fragment array) =
-  let verdicts = Array.make scan.Chunker.len Agg.Data in
-  let insn_at = Hashtbl.create 1024 in
-  Array.iteri
-    (fun i (c : Chunker.chunk) ->
-      Array.iter
-        (fun (rel, insn, ilen) ->
-          let addr = c.Chunker.lo + rel in
-          Hashtbl.replace insn_at addr (insn, ilen);
-          for j = addr - scan.Chunker.base to addr - scan.Chunker.base + ilen - 1 do
-            verdicts.(j) <- Agg.Code
-          done)
-        frags.(i).boundaries)
-    scan.Chunker.chunks;
-  {
-    Agg.base = scan.Chunker.base;
-    len = scan.Chunker.len;
-    verdicts;
-    insn_at;
-    warnings = [];
-    tally = Agg.tally_of_verdicts verdicts;
-    refined = [];
-    pin_hints = (if infer then Disasm.Infer.resolve_pins binary ~insns:insn_at else []);
-  }
-
 (* The aggregate a fully validated tiling assembles, materialized from
-   the traversal it was validated against: under the validation
-   invariant the per-chunk claims coincide with the recursive cover
-   (boundaries are exactly the traversal's instructions, Code bytes are
-   exactly the reached bytes, gaps stay Data), so copying the traversal
-   is the same merge without re-walking any fragment. *)
+   the traversal it was validated against: when every chunk of a tiling
+   of the whole text validates, the per-chunk claims coincide with the
+   recursive cover (boundaries are exactly the traversal's instructions,
+   Code bytes are exactly the reached bytes, gaps stay Data), so reading
+   the traversal is the merge of the fragments without re-walking any.
+   Only called on fully validated tilings, so no warnings can arise.
+   With [~infer:true] the aggregate carries the same pin hints the cold
+   inference pass derives: a validated tiling has no ambiguity, so the
+   cold pass performs exactly one computed-target resolution round over
+   exactly these boundaries ({!Disasm.Infer.resolve_pins}). *)
 let of_recursive ?(infer = false) binary (rec_ : Disasm.Recursive.t) =
-  let len = rec_.Disasm.Recursive.len in
-  let verdicts = Array.make len Agg.Data in
+  let base = rec_.Disasm.Recursive.base and len = rec_.Disasm.Recursive.len in
   let cover = rec_.Disasm.Recursive.cover in
-  for i = 0 to len - 1 do
-    if cover.(i) >= 0 then verdicts.(i) <- Agg.Code
+  let verdicts = Array.make len Agg.Data in
+  let boundaries = Agg.empty_boundaries len in
+  for off = 0 to len - 1 do
+    if cover.(off) >= 0 then verdicts.(off) <- Agg.Code;
+    if cover.(off) = base + off then Agg.add_boundary boundaries rec_.Disasm.Recursive.decoded off
   done;
-  let insn_at = Hashtbl.copy rec_.Disasm.Recursive.insns in
   {
-    Agg.base = rec_.Disasm.Recursive.base;
+    Agg.base;
     len;
     verdicts;
-    insn_at;
+    boundaries;
     warnings = [];
     tally = Agg.tally_of_verdicts verdicts;
     refined = [];
-    pin_hints = (if infer then Disasm.Infer.resolve_pins binary ~insns:insn_at else []);
+    pin_hints =
+      (if infer then Disasm.Infer.resolve_pins binary ~iter:(fun f -> Disasm.Recursive.iter f rec_)
+       else []);
   }

@@ -33,33 +33,30 @@ val local_linear : ?scratch:scratch -> Disasm.Decoded.t -> Disasm.Chunker.chunk 
 val validate_chunk :
   ?scratch:scratch -> Disasm.Recursive.t -> Disasm.Chunker.chunk -> fragment -> unit
 (** Bidirectional check of one chunk's framing against the recursive
-    traversal: every boundary a recursive instruction with identical
-    decode, every recursive byte covered, every gap byte unreached.
-    Raises {!Fallback} on any disagreement. *)
+    traversal: every boundary the traversal's decode-table entry (cached
+    fragments may come from another version of the binary), every
+    recursive byte covered by a boundary with that start, every gap byte
+    unreached.  Raises {!Fallback} on any disagreement. *)
 
-val validate_span : Disasm.Decoded.t -> Disasm.Recursive.t -> Disasm.Chunker.chunk -> unit
+val validate_span : Disasm.Recursive.t -> Disasm.Chunker.chunk -> unit
 (** Fused, allocation-free equivalent of {!local_linear} followed by
-    {!validate_chunk}: frames the chunk linearly and compares it against
-    the recursive cover in the same pass, keeping nothing.  Like
-    {!local_linear} it touches only the decode-table entries inside the
-    chunk, so workers on disjoint chunks may share one table.  This is
-    the parallel IR builder's chunk task — a pure validator.  Raises
-    {!Fallback} on any disagreement. *)
-
-val assemble :
-  ?infer:bool -> Zelf.Binary.t -> Disasm.Chunker.t -> fragment array -> Disasm.Aggregate.t
-(** One merge pass over fully validated fragments, in chunk order:
-    Code on boundary spans, Data on gaps, no warnings.  Equal to the
-    cold aggregate under the validation invariant.  With [~infer:true]
-    (default false) the aggregate also carries the pin hints the cold
-    inference pass would derive: a validated tiling has no ambiguity, so
-    the cold pass reduces to one computed-target resolution round over
-    exactly these boundaries ({!Disasm.Infer.resolve_pins}). *)
+    {!validate_chunk}: frames the chunk linearly from the traversal's own
+    decode table and compares it against the recursive cover in the same
+    pass, keeping nothing.  Like {!local_linear} it touches only the
+    decode-table entries inside the chunk, so workers on disjoint chunks
+    may share one table.  This is the parallel IR builder's chunk task —
+    a pure validator.  Raises {!Fallback} on any disagreement. *)
 
 val of_recursive :
   ?infer:bool -> Zelf.Binary.t -> Disasm.Recursive.t -> Disasm.Aggregate.t
-(** The aggregate a fully validated tiling assembles, materialized
-    directly from the traversal it was validated against (the validated
-    claims coincide with the recursive cover, so copying the traversal
-    is the same merge without re-walking any fragment).  [infer] as in
-    {!assemble}. *)
+(** The aggregate a tiling of the whole text assembles once every chunk
+    has validated, materialized directly from the traversal it was
+    validated against: the validated claims coincide with the recursive
+    cover, so reading the traversal is the merge of the fragments without
+    re-walking any.  Code on reached bytes, Data on the rest, no
+    warnings; equal to the cold aggregate under the validation
+    invariant.  With [~infer:true] (default false) the aggregate also
+    carries the pin hints the cold inference pass would derive: a
+    validated tiling has no ambiguity, so the cold pass reduces to one
+    computed-target resolution round over exactly these boundaries
+    ({!Disasm.Infer.resolve_pins}). *)

@@ -68,11 +68,29 @@ let tally_fields t =
   ]
   @ List.map (fun (k, v) -> ("refined." ^ k, v)) t.refined_by_fact
 
+(* The boundary store: per text offset, the encoded length of the
+   instruction starting there (0: no boundary) and, at boundaries, that
+   instruction.  A copy of the decode table's entries rather than a view
+   of the table: the delta memo keeps whole aggregates, and the table
+   holds a decoded candidate at every offset of the text. *)
+type boundaries = { ilen : Bytes.t; insn : Zvm.Insn.t array; mutable count : int }
+
+let empty_boundaries len =
+  { ilen = Bytes.make len '\000'; insn = Array.make len Zvm.Insn.Nop; count = 0 }
+
+let add_boundary b d off =
+  let n = Decoded.length d off in
+  if n > 0 then begin
+    if Bytes.get b.ilen off = '\000' then b.count <- b.count + 1;
+    Bytes.set b.ilen off (Char.chr n);
+    b.insn.(off) <- Decoded.insn d off
+  end
+
 type t = {
   base : int;
   len : int;
   verdicts : verdict array;
-  insn_at : (int, Zvm.Insn.t * int) Hashtbl.t;
+  boundaries : boundaries;
   warnings : string list;
   tally : tally;
   refined : (int * string) list;
@@ -93,7 +111,9 @@ let pp_verdict ppf = function
    Equivalent to sorting every boundary of every source by (address,
    length, source name) and pairing each with the earlier boundaries
    still covering its address, most recent first — but done as one sweep
-   over text offsets against per-source boundary-length arrays.  At each
+   over text offsets against per-source boundary-length arrays, read off
+   the sources' covers (a boundary's length is the number of bytes
+   claiming its start).  At each
    offset the boundaries there are ordered by (length, name); a boundary
    is checked against the ones before it at the same offset, then
    against the boundaries of the preceding [max_len - 1] offsets that
@@ -106,13 +126,14 @@ let overlap_mismatches ~base ~len (primaries : Source.t list) =
     Array.map
       (fun (s : Source.t) ->
         let a = Array.make len 0 in
-        Hashtbl.iter
-          (fun addr (_, ilen) ->
-            if addr < base || addr + ilen > base + len then
-              invalid_arg "Aggregate.combine_sources: instruction outside the text range";
-            a.(addr - base) <- ilen;
-            if ilen > !max_len then max_len := ilen)
-          s.Source.insns;
+        Array.iter
+          (fun start ->
+            if start >= 0 then begin
+              let o = start - base in
+              a.(o) <- a.(o) + 1;
+              if a.(o) > !max_len then max_len := a.(o)
+            end)
+          s.Source.claims;
         a)
       srcs
   in
@@ -233,13 +254,13 @@ let combine_sources binary (sources : Source.t list) =
     let n_code = ref 0 and start0 = ref 0 and agree = ref true in
     let high_claim = ref false and data_claimed = ref false in
     for i = 0 to n_sources - 1 do
-      match claims.(i).(off) with
-      | Source.Code start ->
-          if !n_code = 0 then start0 := start else if start <> !start0 then agree := false;
-          incr n_code;
-          if high.(i) then high_claim := true
-      | Source.Data -> data_claimed := true
-      | Source.Unknown -> ()
+      let start = claims.(i).(off) in
+      if start >= 0 then begin
+        if !n_code = 0 then start0 := start else if start <> !start0 then agree := false;
+        incr n_code;
+        if high.(i) then high_claim := true
+      end
+      else if start = Claim.data then data_claimed := true
     done;
     verdicts.(off) <-
       (if !n_code = 0 then begin incr c1_data; Data end
@@ -248,9 +269,8 @@ let combine_sources binary (sources : Source.t list) =
            (String.concat ", "
               (List.filter_map
                  (fun (s : Source.t) ->
-                   match s.Source.claims.(off) with
-                   | Source.Code st -> Some (Printf.sprintf "%s@0x%x" s.Source.name st)
-                   | _ -> None)
+                   let st = s.Source.claims.(off) in
+                   if st >= 0 then Some (Printf.sprintf "%s@0x%x" s.Source.name st) else None)
                  primaries));
          incr c2;
          Ambiguous
@@ -267,81 +287,63 @@ let combine_sources binary (sources : Source.t list) =
   let overlap_count, overlap_warnings = overlap_mismatches ~base ~len primaries in
   List.iter (fun w -> warnings := w :: !warnings) overlap_warnings;
   (* Refinement pass: each refiner may flip ambiguous bytes only.  A flip
-     to [Code start] requires every primary code claim on the byte to
+     to code at [start] requires every primary code claim on the byte to
      agree with [start] (high-confidence data claims would keep it
      ambiguous, but no primary emits those); a flip to [Data] requires no
      high-confidence code claim.  Flips record the refiner's per-byte
-     provenance tag, and the flipped instruction boundaries join the
-     merge below so downstream IR construction sees the refined code. *)
+     provenance tag, and the start of each instruction flipped to code
+     becomes a boundary below, so downstream IR construction sees the
+     refined code. *)
   let refined = ref [] in
   let r_code = ref 0 and r_data = ref 0 in
   let fact_counts = Hashtbl.create 8 in
   let bump_fact tag =
     Hashtbl.replace fact_counts tag (1 + Option.value ~default:0 (Hashtbl.find_opt fact_counts tag))
   in
-  let flipped_starts : (int, Zvm.Insn.t * int) Hashtbl.t = Hashtbl.create 16 in
+  let flipped_start = Bytes.make len '\000' in
   List.iter
     (fun (r : Source.t) ->
       for off = 0 to len - 1 do
-        if verdicts.(off) = Ambiguous then
-          match r.Source.claims.(off) with
-          | Source.Unknown -> ()
-          | Source.Code s ->
-              let ok = ref true in
-              for i = 0 to n_sources - 1 do
-                match claims.(i).(off) with
-                | Source.Code st -> if st <> s then ok := false
-                | Source.Data | Source.Unknown -> ()
-              done;
-              if !ok then begin
-                verdicts.(off) <- Code;
-                incr r_code;
-                let tag = Source.tag_at r off in
-                bump_fact tag;
-                refined := (off, tag) :: !refined;
-                (match Hashtbl.find_opt r.Source.insns s with
-                | Some boundary -> Hashtbl.replace flipped_starts s boundary
-                | None -> ())
-              end
-          | Source.Data ->
-              let high_code = ref false in
-              for i = 0 to n_sources - 1 do
-                match claims.(i).(off) with
-                | Source.Code _ -> if high.(i) then high_code := true
-                | _ -> ()
-              done;
-              if not !high_code then begin
-                verdicts.(off) <- Data;
-                incr r_data;
-                let tag = Source.tag_at r off in
-                bump_fact tag;
-                refined := (off, tag) :: !refined
-              end
+        let claim = r.Source.claims.(off) in
+        if verdicts.(off) = Ambiguous && claim <> Claim.unknown then begin
+          let ok = ref true in
+          for i = 0 to n_sources - 1 do
+            let st = claims.(i).(off) in
+            if st >= 0 && if claim >= 0 then st <> claim else high.(i) then ok := false
+          done;
+          if !ok then begin
+            let tag = Source.tag_at r off in
+            bump_fact tag;
+            refined := (off, tag) :: !refined;
+            if claim >= 0 then begin
+              verdicts.(off) <- Code;
+              incr r_code;
+              Bytes.set flipped_start (claim - base) '\001'
+            end
+            else begin
+              verdicts.(off) <- Data;
+              incr r_data
+            end
+          end
+        end
       done)
     refiners;
-  let boundary_estimate =
-    Array.fold_left (fun acc (s : Source.t) -> max acc (Hashtbl.length s.Source.insns)) 16 srcs
-  in
-  let insn_at = Hashtbl.create boundary_estimate in
-  (* Boundary preference: earlier sources are lower priority (later
-     replace); order the list lowest-priority first. *)
-  List.iter
-    (fun (s : Source.t) -> Hashtbl.iter (fun addr v -> Hashtbl.replace insn_at addr v) s.Source.insns)
-    primaries;
-  (* Boundaries of instructions a refiner flipped to code, where no
-     primary already supplied one. *)
-  Hashtbl.iter
-    (fun addr v -> if not (Hashtbl.mem insn_at addr) then Hashtbl.replace insn_at addr v)
-    flipped_starts;
-  (* Drop boundaries that start inside bytes judged pure data. *)
-  let doomed =
-    Hashtbl.fold
-      (fun addr _ acc ->
-        let off = addr - base in
-        if off < 0 || off >= len || verdicts.(off) = Data then addr :: acc else acc)
-      insn_at []
-  in
-  List.iter (Hashtbl.remove insn_at) doomed;
+  (* One pass over offsets: a boundary is any primary's instruction start,
+     or the start of an instruction a refiner flipped to code, outside
+     bytes judged pure data.  Every source reads the same decode table
+     (or an equal one), so which source supplied a start does not
+     matter. *)
+  let decoded = first.Source.decoded in
+  let boundaries = empty_boundaries len in
+  for off = 0 to len - 1 do
+    if verdicts.(off) <> Data then begin
+      let start = ref (Bytes.get flipped_start off <> '\000') in
+      for i = 0 to n_sources - 1 do
+        if claims.(i).(off) = base + off then start := true
+      done;
+      if !start then add_boundary boundaries decoded off
+    end
+  done;
   ignore binary;
   let tally =
     {
@@ -361,7 +363,7 @@ let combine_sources binary (sources : Source.t list) =
     base;
     len;
     verdicts;
-    insn_at;
+    boundaries;
     warnings = List.rev !warnings;
     tally;
     refined = List.sort compare !refined;
@@ -383,13 +385,16 @@ let run ?(infer = false) ?decoded binary =
         let r = Recursive.traverse ~decoded binary in
         (r, Source.of_recursive r))
   in
-  let spec = Obs.span "superset" (fun () -> Superset.run ~decoded binary ~avoid:rec_) in
-  (* Priority (lowest first): linear, superset, recursive — so recursive
-     boundaries win, with superset refining the regions it never reached.
-     The inference refiner, when enabled, rides along as evidence only. *)
+  (* The prune fixpoint feeds both the superset tiling and, when enabled,
+     the inference refiner (evidence only): computed once. *)
+  let alive, spec =
+    Obs.span "superset" (fun () ->
+        let alive = Superset.prune_fixpoint ~decoded binary in
+        (alive, Superset.run ~decoded ~alive binary ~avoid:rec_))
+  in
   let sources = [ lin; spec; rec_src ] in
   if infer then begin
-    let inf = Obs.span "infer" (fun () -> Infer.run ~decoded binary ~avoid:rec_) in
+    let inf = Obs.span "infer" (fun () -> Infer.run ~decoded ~alive binary ~avoid:rec_) in
     let agg = Obs.span "combine" (fun () -> combine_sources binary (sources @ [ inf.Infer.source ])) in
     { agg with pin_hints = inf.Infer.pin_hints }
   end
@@ -398,23 +403,45 @@ let run ?(infer = false) ?decoded binary =
 let verdict_at t addr =
   if addr < t.base || addr >= t.base + t.len then None else Some t.verdicts.(addr - t.base)
 
-let ambiguous_ranges t =
+(* Maximal [lo, hi) address runs of bytes judged [v], ascending. *)
+let ranges t v =
   let ranges = ref [] in
   let start = ref (-1) in
   for off = 0 to t.len - 1 do
-    match (t.verdicts.(off), !start) with
-    | Ambiguous, -1 -> start := off
-    | Ambiguous, _ -> ()
-    | _, -1 -> ()
-    | _, s ->
+    match (t.verdicts.(off) = v, !start) with
+    | true, -1 -> start := off
+    | true, _ | false, -1 -> ()
+    | false, s ->
         ranges := (t.base + s, t.base + off) :: !ranges;
         start := -1
   done;
   if !start >= 0 then ranges := (t.base + !start, t.base + t.len) :: !ranges;
   List.rev !ranges
 
+let ambiguous_ranges t = ranges t Ambiguous
+let data_ranges t = ranges t Data
+
+let boundary t addr =
+  let off = addr - t.base in
+  if off < 0 || off >= t.len then None
+  else
+    match Char.code (Bytes.get t.boundaries.ilen off) with
+    | 0 -> None
+    | n -> Some (t.boundaries.insn.(off), n)
+
+let iter_boundaries f t =
+  let b = t.boundaries in
+  for off = 0 to t.len - 1 do
+    let n = Char.code (Bytes.unsafe_get b.ilen off) in
+    if n > 0 then f (t.base + off) b.insn.(off) n
+  done
+
+let boundary_count t = t.boundaries.count
+
 let code_starts t =
-  Hashtbl.fold (fun addr _ acc -> addr :: acc) t.insn_at [] |> List.sort compare
+  let acc = ref [] in
+  iter_boundaries (fun addr _ _ -> acc := addr :: !acc) t;
+  List.rev !acc
 
 let stats t =
   let code = ref 0 and data = ref 0 and amb = ref 0 in

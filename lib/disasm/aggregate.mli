@@ -54,13 +54,25 @@ val tally_fields : tally -> (string * int) list
 (** Canonical [(key, value)] rendering shared by [--stats], the server's
     [det.*] lines and bench JSON. *)
 
+type boundaries
+(** The instruction boundaries downstream IR construction sees: a dense,
+    offset-indexed store (one length byte and one instruction slot per
+    text byte) whose entries are copies of the decode table's, so an
+    aggregate never keeps its decode table alive.  Read it through
+    {!boundary}, {!iter_boundaries} and {!boundary_count}. *)
+
+val empty_boundaries : int -> boundaries
+(** A store over a text section of the given length, with no boundary. *)
+
+val add_boundary : boundaries -> Decoded.t -> int -> unit
+(** [add_boundary b d off] makes text offset [off] a boundary holding the
+    table's candidate there; an offset with no candidate is left out. *)
+
 type t = {
   base : int;
   len : int;
   verdicts : verdict array;  (** per byte of text *)
-  insn_at : (int, Zvm.Insn.t * int) Hashtbl.t;
-      (** instruction boundaries for downstream IR construction: recursive
-          traversal's where available, linear sweep's otherwise *)
+  boundaries : boundaries;
   warnings : string list;
   tally : tally;
   refined : (int * string) list;
@@ -81,18 +93,30 @@ val run : ?infer:bool -> ?decoded:Decoded.t -> Zelf.Binary.t -> t
 
 val combine_sources : Zelf.Binary.t -> Source.t list -> t
 (** N-way aggregation over any set of {!Source}s covering the same text
-    range (lowest boundary priority first).  A byte is [Code] iff a
-    high-confidence primary claims it and every claiming primary agrees on
-    the instruction start; [Data] iff no primary claims code; [Ambiguous]
-    otherwise — then refiner sources may flip ambiguous bytes only.
-    Raises [Invalid_argument] on an empty or mismatched source list, when
-    no primary source is present, or when a primary's instruction does
-    not lie inside the range. *)
+    range.  A byte is [Code] iff a high-confidence primary claims it and
+    every claiming primary agrees on the instruction start; [Data] iff no
+    primary claims code; [Ambiguous] otherwise — then refiner sources may
+    flip ambiguous bytes only.  A boundary is any primary's instruction
+    start, or the start of an instruction a refiner flipped to code,
+    outside [Data] bytes.  Raises [Invalid_argument] on an empty or
+    mismatched source list, or when no primary source is present. *)
 
 val verdict_at : t -> int -> verdict option
 
 val ambiguous_ranges : t -> (int * int) list
 (** Maximal [\[lo, hi)] runs of ambiguous bytes, ascending. *)
+
+val data_ranges : t -> (int * int) list
+(** Maximal [\[lo, hi)] runs of data bytes, ascending. *)
+
+val boundary : t -> int -> (Zvm.Insn.t * int) option
+(** The instruction and its encoded length at a boundary address. *)
+
+val iter_boundaries : (int -> Zvm.Insn.t -> int -> unit) -> t -> unit
+(** [iter_boundaries f t] calls [f addr insn len] on every boundary, by
+    ascending address. *)
+
+val boundary_count : t -> int
 
 val code_starts : t -> int list
 (** Instruction start addresses in [Code] or [Ambiguous] bytes,

@@ -299,42 +299,40 @@ let resolve_site binary ~insns ~joins ~pred ~lo ~hi site reg =
   | _ -> None
 
 (* Resolved in-text targets of every register-indirect site in a
-   {e validated} instruction map (no ambiguity anywhere), sorted: the
+   {e validated} instruction set (no ambiguity anywhere), sorted: the
    stitched aggregation paths (Delta, Par_ir) use this to reproduce the
    pin hints the full inference pass derives on the cold path, which on
    validated binaries performs exactly this one resolution round. *)
-let resolve_pins binary ~insns =
+let resolve_pins binary ~iter =
   let text = Zelf.Binary.text binary in
   let lo = text.Zelf.Section.vaddr and hi = Zelf.Section.vend text in
+  let insns = Hashtbl.create 1024 and sites = ref [] in
+  iter (fun addr insn ilen ->
+      Hashtbl.replace insns addr (insn, ilen);
+      match insn with
+      | Zvm.Insn.Jmpr r | Zvm.Insn.Callr r -> sites := (addr, r) :: !sites
+      | _ -> ());
   let joins = build_joins binary ~insns ~lo ~hi in
   let pred = build_pred ~insns in
-  let sites =
-    Hashtbl.fold
-      (fun addr (insn, _) acc ->
-        match insn with
-        | Zvm.Insn.Jmpr r | Zvm.Insn.Callr r -> (addr, r) :: acc
-        | _ -> acc)
-      insns []
-    |> List.sort compare
-  in
   List.concat_map
     (fun (site, reg) ->
       match resolve_site binary ~insns ~joins ~pred ~lo ~hi site reg with
       | Some targets -> targets
       | None -> [])
-    sites
+    (List.rev !sites)
   |> List.sort_uniq compare
 
 (* ---------- the inference pass ---------- *)
 
-let run ?decoded binary ~(avoid : Recursive.t) =
+let run ?decoded ?alive binary ~(avoid : Recursive.t) =
   let d = Decoded.for_binary ?decoded binary in
   let base = Decoded.base d and len = Decoded.len d in
   let lo = base and hi = base + len in
-  let alive = Superset.prune_fixpoint ~decoded:d binary in
-  let claims = Array.make len Source.Unknown in
+  let alive =
+    match alive with Some a -> a | None -> Superset.prune_fixpoint ~decoded:d binary
+  in
+  let claims = Array.make len Claim.unknown in
   let tags = Array.make len "" in
-  let insns : (int, Zvm.Insn.t * int) Hashtbl.t = Hashtbl.create 64 in
   let counts = Hashtbl.create 8 in
   List.iter (fun f -> Hashtbl.replace counts (fact_name f) 0) all_facts;
   let bump fact n =
@@ -355,9 +353,9 @@ let run ?decoded binary ~(avoid : Recursive.t) =
       done
   done;
   let claim_data off fact =
-    if off >= 0 && off < len && (not (avoided off)) && claims.(off) = Source.Unknown
+    if off >= 0 && off < len && (not (avoided off)) && claims.(off) = Claim.unknown
     then begin
-      claims.(off) <- Source.Data;
+      claims.(off) <- Claim.data;
       tags.(off) <- fact_name fact;
       bump fact 1
     end
@@ -378,7 +376,13 @@ let run ?decoded binary ~(avoid : Recursive.t) =
   (* The growing known-code map: the traversal's instructions plus every
      instruction the propagation claims.  Fact scans and site resolution
      iterate over it to a fixpoint. *)
-  let known : (int, Zvm.Insn.t * int) Hashtbl.t = Hashtbl.copy avoid.Recursive.insns in
+  let known : (int, Zvm.Insn.t * int) Hashtbl.t = Hashtbl.create 1024 in
+  let traversed = ref [] in
+  Recursive.iter
+    (fun addr insn ilen ->
+      Hashtbl.replace known addr (insn, ilen);
+      traversed := (addr, (insn, ilen)) :: !traversed)
+    avoid;
   let newly_known = ref [] in
   let claim_word addr =
     if addr >= lo && addr + 4 <= hi then
@@ -413,36 +417,31 @@ let run ?decoded binary ~(avoid : Recursive.t) =
       let reach = fact = Jump_table || fact = Computed_target in
       if off >= 0 && off < len then begin
         if avoided off then begin
-          if reach && not (Hashtbl.mem avoid.Recursive.insns (base + off)) then
-            closed := false
+          if reach && not (Recursive.starts_at avoid (base + off)) then closed := false
         end
         else
-          match claims.(off) with
-          | Source.Code s -> if reach && s <> base + off then closed := false
-          | Source.Data -> if reach then closed := false
-          | Source.Unknown -> (
-              if not alive.(off) then begin if reach then closed := false end
-              else
-                let insn = Decoded.insn d off and ilen = Decoded.length d off in
-                let clash = ref (off + ilen > len) in
-                for i = off to min (len - 1) (off + ilen - 1) do
-                  if claims.(i) <> Source.Unknown || avoided i then clash := true
-                done;
-                if !clash then begin if reach then closed := false end
-                else begin
-                  for i = off to off + ilen - 1 do
-                    claims.(i) <- Source.Code (base + off);
-                    tags.(i) <- fact_name fact
-                  done;
-                  bump fact ilen;
-                  Hashtbl.replace insns (base + off) (insn, ilen);
-                  Hashtbl.replace known (base + off) (insn, ilen);
-                  newly_known := (base + off, (insn, ilen)) :: !newly_known;
-                  if falls_through insn then enqueue (off + ilen) fact;
-                  match Zvm.Insn.static_target ~at:(base + off) insn with
-                  | Some tgt when tgt >= lo && tgt < hi -> enqueue (tgt - base) fact
-                  | _ -> ()
-                end)
+          let c = claims.(off) in
+          if c >= 0 then begin if reach && c <> base + off then closed := false end
+          else if c = Claim.data then begin if reach then closed := false end
+          else if not alive.(off) then begin if reach then closed := false end
+          else
+            let insn = Decoded.insn d off and ilen = Decoded.length d off in
+            let clash = ref (off + ilen > len) in
+            for i = off to min (len - 1) (off + ilen - 1) do
+              if claims.(i) <> Claim.unknown || avoided i then clash := true
+            done;
+            if !clash then begin if reach then closed := false end
+            else begin
+              Array.fill claims off ilen (base + off);
+              Array.fill tags off ilen (fact_name fact);
+              bump fact ilen;
+              Hashtbl.replace known (base + off) (insn, ilen);
+              newly_known := (base + off, (insn, ilen)) :: !newly_known;
+              if falls_through insn then enqueue (off + ilen) fact;
+              match Zvm.Insn.static_target ~at:(base + off) insn with
+              | Some tgt when tgt >= lo && tgt < hi -> enqueue (tgt - base) fact
+              | _ -> ()
+            end
       end
     done
   in
@@ -454,7 +453,7 @@ let run ?decoded binary ~(avoid : Recursive.t) =
       match Decoded.insn d off with
       | Zvm.Insn.Call _ as insn -> (
           match Zvm.Insn.static_target ~at:(base + off) insn with
-          | Some tgt when Hashtbl.mem avoid.Recursive.insns tgt ->
+          | Some tgt when Recursive.starts_at avoid tgt ->
               enqueue off Call_fallthrough
           | _ -> ())
       | _ -> ()
@@ -462,11 +461,7 @@ let run ?decoded binary ~(avoid : Recursive.t) =
   (* -- discovery fixpoint: scan facts and resolve indirect sites over
         the growing known map until no new code appears -- *)
   let processed_sites : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let batch =
-    ref
-      (Hashtbl.fold (fun addr v acc -> (addr, v) :: acc) avoid.Recursive.insns []
-      |> List.sort compare)
-  in
+  let batch = ref (List.rev !traversed) in
   let iterations = ref 0 in
   while !batch <> [] && !iterations < 64 do
     incr iterations;
@@ -503,8 +498,8 @@ let run ?decoded binary ~(avoid : Recursive.t) =
         outside it is provably never executed -- *)
   if !closed then
     for off = 0 to len - 1 do
-      if (not (avoided off)) && claims.(off) = Source.Unknown then begin
-        claims.(off) <- Source.Data;
+      if (not (avoided off)) && claims.(off) = Claim.unknown then begin
+        claims.(off) <- Claim.data;
         tags.(off) <- fact_name Unreachable;
         bump Unreachable 1
       end
@@ -515,7 +510,7 @@ let run ?decoded binary ~(avoid : Recursive.t) =
       base;
       len;
       claims;
-      insns;
+      decoded = d;
       confidence = Source.High;
       kind = Source.Refiner;
       tags;

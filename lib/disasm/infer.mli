@@ -39,18 +39,23 @@ type t = {
           [unreachable-code] fact *)
 }
 
-val run : ?decoded:Decoded.t -> Zelf.Binary.t -> avoid:Recursive.t -> t
+val run : ?decoded:Decoded.t -> ?alive:bool array -> Zelf.Binary.t -> avoid:Recursive.t -> t
 (** Infer over the binary's text section, abstaining on bytes [avoid]
     reached.  Reads candidates from [decoded] (a fresh table when
-    absent). *)
+    absent); [alive] is {!Superset.prune_fixpoint}'s result over the
+    same table, computed here when absent. *)
 
-val resolve_pins : Zelf.Binary.t -> insns:(int, Zvm.Insn.t * int) Hashtbl.t -> int list
+val resolve_pins :
+  Zelf.Binary.t -> iter:((int -> Zvm.Insn.t -> int -> unit) -> unit) -> int list
 (** Resolved in-text computed-jump targets over a {e validated}
-    instruction map (sorted, unique).  On a binary whose aggregation has
-    no ambiguity the full inference pass performs exactly one resolution
-    round over exactly this map, so the stitched aggregation paths
-    ({!Delta}, [Par_ir]) use this to reproduce [run]'s [pin_hints]
-    without re-running discovery. *)
+    instruction set (sorted, unique), given as an iterator that calls
+    its argument on each [addr insn len] by ascending address (a
+    validated traversal's {!Recursive.iter}, or an aggregate's boundary
+    iterator).  On a binary whose aggregation has no ambiguity the full
+    inference pass performs exactly one resolution round over exactly
+    this set, so the stitched aggregation paths ([Delta], [Par_ir]) use
+    this to reproduce [run]'s [pin_hints] without re-running
+    discovery. *)
 
 val round_bound : Zelf.Binary.t -> int
 (** Static bound on [rounds] for the termination property: the worklist

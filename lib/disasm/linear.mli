@@ -12,17 +12,11 @@ type t = {
   base : int;  (** text section load address *)
   len : int;
   cover : int array;
-      (** per byte: start address of the covering instruction, or [-1] if
-          the byte was claimed as data *)
-  insns : (int, Zvm.Insn.t * int) Hashtbl.t;  (** start address -> (instruction, length) *)
+      (** per byte: start address of the covering instruction, or
+          [Claim.data]; a boundary's instruction is [decoded]'s entry *)
+  decoded : Decoded.t;
 }
 
 val sweep : ?decoded:Decoded.t -> Zelf.Binary.t -> t
 (** Sweep the binary's text section, reading candidates from [decoded]
     (a fresh table when absent). *)
-
-val covering_start : t -> int -> int option
-(** Start address of the instruction covering the given address, or
-    [None] if it was claimed as data. *)
-
-val is_data : t -> int -> bool

@@ -1,10 +1,4 @@
-type t = {
-  base : int;
-  len : int;
-  cover : int array;
-  insns : (int, Zvm.Insn.t * int) Hashtbl.t;
-  seeds : int list;
-}
+type t = { base : int; len : int; cover : int array; decoded : Decoded.t }
 
 let scan_for_text_addresses binary =
   let text = Zelf.Binary.text binary in
@@ -56,8 +50,7 @@ let traverse ?decoded binary =
   let d = Decoded.for_binary ?decoded binary in
   let base = Decoded.base d and len = Decoded.len d in
   let lo = base and hi = base + len in
-  let cover = Array.make len (-1) in
-  let insns = Hashtbl.create 256 in
+  let cover = Array.make len Claim.unknown in
   let initial_seeds =
     binary.Zelf.Binary.entry :: scan_for_text_addresses binary |> List.sort_uniq compare
   in
@@ -66,7 +59,7 @@ let traverse ?decoded binary =
   let enqueue a = if a >= lo && a < hi then Queue.add a work in
   while not (Queue.is_empty work) do
     let addr = Queue.pop work in
-    if addr >= lo && addr < hi && cover.(addr - base) = -1 then
+    if addr >= lo && addr < hi && cover.(addr - base) = Claim.unknown then
       let ilen = Decoded.length d (addr - base) in
       if ilen > 0 then begin
         let insn = Decoded.insn d (addr - base) in
@@ -75,10 +68,9 @@ let traverse ?decoded binary =
            fall to the aggregation's conservative case. *)
         let clash = ref false in
         for i = addr to addr + ilen - 1 do
-          if cover.(i - base) <> -1 then clash := true
+          if cover.(i - base) <> Claim.unknown then clash := true
         done;
         if not !clash then begin
-          Hashtbl.replace insns addr (insn, ilen);
           for i = addr to addr + ilen - 1 do
             cover.(i - base) <- addr
           done;
@@ -94,12 +86,14 @@ let traverse ?decoded binary =
         end
       end
   done;
-  { base; len; cover; insns; seeds = initial_seeds }
+  { base; len; cover; decoded = d }
 
-let covering_start t addr =
-  if addr < t.base || addr >= t.base + t.len then None
-  else
-    let c = t.cover.(addr - t.base) in
-    if c < 0 then None else Some c
+let reached t addr = addr >= t.base && addr < t.base + t.len && t.cover.(addr - t.base) >= 0
 
-let reached t addr = Option.is_some (covering_start t addr)
+let starts_at t addr = addr >= t.base && addr < t.base + t.len && t.cover.(addr - t.base) = addr
+
+let iter f t =
+  for off = 0 to t.len - 1 do
+    if t.cover.(off) = t.base + off then
+      f (t.base + off) (Decoded.insn t.decoded off) (Decoded.length t.decoded off)
+  done

@@ -13,18 +13,24 @@
 type t = {
   base : int;
   len : int;
-  cover : int array;  (** per byte: covering instruction start, or [-1] if unreached *)
-  insns : (int, Zvm.Insn.t * int) Hashtbl.t;
-  seeds : int list;  (** every traversal seed, for diagnostics *)
+  cover : int array;
+      (** per byte: covering instruction start, or [Claim.unknown] if
+          unreached; a boundary's instruction is [decoded]'s entry *)
+  decoded : Decoded.t;
 }
 
 val traverse : ?decoded:Decoded.t -> Zelf.Binary.t -> t
 (** Traverse from the seeds, reading candidates from [decoded] (a fresh
     table when absent). *)
 
-val covering_start : t -> int -> int option
-
 val reached : t -> int -> bool
+
+val starts_at : t -> int -> bool
+(** Is the address the start of a traversed instruction? *)
+
+val iter : (int -> Zvm.Insn.t -> int -> unit) -> t -> unit
+(** [iter f t] calls [f addr insn len] on every traversed instruction,
+    by ascending address. *)
 
 val scan_for_text_addresses : Zelf.Binary.t -> int list
 (** Every 32-bit little-endian word, at any byte offset of any non-text

@@ -1,5 +1,3 @@
-type claim = Code of int | Data | Unknown
-
 type confidence = High | Low
 
 type kind = Primary | Refiner
@@ -8,8 +6,8 @@ type t = {
   name : string;
   base : int;
   len : int;
-  claims : claim array;
-  insns : (int, Zvm.Insn.t * int) Hashtbl.t;
+  claims : int array;
+  decoded : Decoded.t;
   confidence : confidence;
   kind : kind;
   tags : string array;
@@ -23,8 +21,8 @@ let of_linear (lin : Linear.t) =
     name = "linear-sweep";
     base = lin.Linear.base;
     len = lin.Linear.len;
-    claims = Array.map (fun c -> if c < 0 then Data else Code c) lin.Linear.cover;
-    insns = lin.Linear.insns;
+    claims = lin.Linear.cover;
+    decoded = lin.Linear.decoded;
     confidence = Low;
     kind = Primary;
     tags = [||];
@@ -35,12 +33,9 @@ let of_recursive (r : Recursive.t) =
     name = "recursive-traversal";
     base = r.Recursive.base;
     len = r.Recursive.len;
-    claims = Array.map (fun c -> if c < 0 then Unknown else Code c) r.Recursive.cover;
-    insns = r.Recursive.insns;
+    claims = r.Recursive.cover;
+    decoded = r.Recursive.decoded;
     confidence = High;
     kind = Primary;
     tags = [||];
   }
-
-let claim_at t addr =
-  if addr < t.base || addr >= t.base + t.len then Unknown else t.claims.(addr - t.base)

@@ -4,16 +4,12 @@
     disassemblers" and keep "the flexibility to include the output of
     new disassemblers" (§II-A1); this is the interface a new tool plugs
     into.  A source reports, per text byte, either the start address of
-    the instruction covering it, a conclusive data claim, or abstention;
-    plus its instruction boundaries and a {e confidence} level.  High
-    confidence means the tool only claims code it has strong evidence for
-    (recursive traversal); low confidence means its code claims may be
-    misdecoded data (linear sweep, speculative disassembly). *)
-
-type claim =
-  | Code of int  (** covered by the instruction starting at this address *)
-  | Data
-  | Unknown
+    the instruction covering it, a conclusive data claim, or abstention
+    (a cover array over the decode table), and a {e confidence} level.
+    High confidence means the tool only claims code it has strong
+    evidence for (recursive traversal); low confidence means its code
+    claims may be misdecoded data (linear sweep, speculative
+    disassembly). *)
 
 type confidence = High | Low
 
@@ -29,8 +25,11 @@ type t = {
   name : string;
   base : int;
   len : int;
-  claims : claim array;  (** per text byte *)
-  insns : (int, Zvm.Insn.t * int) Hashtbl.t;
+  claims : int array;
+      (** per text byte: the start address of the covering instruction,
+          [Claim.data] or [Claim.unknown].  Text offset [off] is one of the
+          source's instruction boundaries iff [claims.(off) = base + off] *)
+  decoded : Decoded.t;  (** the table every boundary's instruction is read from *)
   confidence : confidence;
   kind : kind;
   tags : string array;
@@ -39,12 +38,12 @@ type t = {
 }
 
 val of_linear : Linear.t -> t
-(** Low confidence; abstains nowhere (everything is code or data). *)
+(** Low confidence; abstains nowhere (everything is code or data).
+    Shares the sweep's cover array. *)
 
 val of_recursive : Recursive.t -> t
-(** High confidence; abstains on unreached bytes. *)
-
-val claim_at : t -> int -> claim
+(** High confidence; abstains on unreached bytes.  Shares the
+    traversal's cover array. *)
 
 val tag_at : t -> int -> string
 (** Provenance tag at a text {e offset} (not address); [""] when the

@@ -32,10 +32,10 @@ let prune_fixpoint ?decoded binary =
   done;
   alive
 
-let run ?decoded binary ~avoid =
+let run ?decoded ?alive binary ~avoid =
   let d = Decoded.for_binary ?decoded binary in
   let base = Decoded.base d and len = Decoded.len d in
-  let alive = prune_fixpoint ~decoded:d binary in
+  let alive = match alive with Some a -> a | None -> prune_fixpoint ~decoded:d binary in
   (* Score surviving candidates: references from other survivors are
      evidence (probabilistic-disassembly flavour). *)
   let score = Array.make len 0 in
@@ -48,13 +48,12 @@ let run ?decoded binary ~avoid =
   done;
   (* Greedy tiling: walk fallthrough chains from the best-scored seeds,
      claiming bytes not already claimed and not covered by [avoid]. *)
-  let claims = Array.make len Source.Unknown in
-  let insns : (int, Zvm.Insn.t * int) Hashtbl.t = Hashtbl.create 256 in
+  let claims = Array.make len Claim.unknown in
   let avoided off = Recursive.reached avoid (base + off) in
   let free lo ilen =
     let ok = ref (lo + ilen <= len) in
     for i = lo to min (len - 1) (lo + ilen - 1) do
-      if claims.(i) <> Source.Unknown || avoided i then ok := false
+      if claims.(i) <> Claim.unknown || avoided i then ok := false
     done;
     !ok
   in
@@ -63,10 +62,7 @@ let run ?decoded binary ~avoid =
       if off < len && alive.(off) && not (avoided off) then
         let insn = Decoded.insn d off and ilen = Decoded.length d off in
         if free off ilen then begin
-          for i = off to off + ilen - 1 do
-            claims.(i) <- Source.Code (base + off)
-          done;
-          Hashtbl.replace insns (base + off) (insn, ilen);
+          Array.fill claims off ilen (base + off);
           if Zvm.Insn.has_fallthrough insn && insn <> Zvm.Insn.Sys 0 then go (off + ilen)
         end
     in
@@ -91,15 +87,15 @@ let run ?decoded binary ~avoid =
   (* Undecodable bytes are conclusive data; everything else we did not
      tile stays unknown (we are a low-confidence, best-effort source). *)
   for off = 0 to len - 1 do
-    if claims.(off) = Source.Unknown && Decoded.length d off = 0 && not (avoided off) then
-      claims.(off) <- Source.Data
+    if claims.(off) = Claim.unknown && Decoded.length d off = 0 && not (avoided off) then
+      claims.(off) <- Claim.data
   done;
   {
     Source.name = "superset";
     base;
     len;
     claims;
-    insns;
+    decoded = d;
     confidence = Source.Low;
     kind = Source.Primary;
     tags = [||];

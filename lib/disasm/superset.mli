@@ -16,10 +16,12 @@
     which sharpen the fixed-range CFGs and the [Fixed_target] pin
     analysis. *)
 
-val run : ?decoded:Decoded.t -> Zelf.Binary.t -> avoid:Recursive.t -> Source.t
+val run :
+  ?decoded:Decoded.t -> ?alive:bool array -> Zelf.Binary.t -> avoid:Recursive.t -> Source.t
 (** Speculative source for the binary's text section, abstaining on bytes
     [avoid] covers.  Reads candidates from [decoded] (a fresh table when
-    absent), decoding every offset. *)
+    absent), decoding every offset.  [alive] is {!prune_fixpoint}'s
+    result over the same table, computed here when absent. *)
 
 val prune_fixpoint : ?decoded:Decoded.t -> Zelf.Binary.t -> bool array
 (** Per text byte, is there a {e surviving} candidate instruction

@@ -52,12 +52,9 @@ let render_insn ~at ~target_label insn =
   | Storep (d, r) -> Printf.sprintf "storep %s, %s" (label_of (at + size insn + d)) (Zvm.Reg.to_string r)
   | other -> Insn.to_string other
 
-let default_boundaries binary =
+let section_listing binary =
   let agg = Disasm.Aggregate.run binary in
-  agg.Disasm.Aggregate.insn_at
-
-let section_listing ?insn_at binary =
-  let insn_at = match insn_at with Some t -> t | None -> default_boundaries binary in
+  let boundary = Disasm.Aggregate.boundary agg in
   let text = Zelf.Binary.text binary in
   let base = text.Zelf.Section.vaddr in
   let vend = Zelf.Section.vend text in
@@ -65,8 +62,8 @@ let section_listing ?insn_at binary =
      the listing reparses without arithmetic. *)
   let labelled = Hashtbl.create 64 in
   Hashtbl.replace labelled binary.Zelf.Binary.entry ();
-  Hashtbl.iter
-    (fun addr (insn, len) ->
+  Disasm.Aggregate.iter_boundaries
+    (fun addr insn len ->
       (match Insn.static_target ~at:addr insn with
       | Some t -> Hashtbl.replace labelled t ()
       | None -> ());
@@ -74,7 +71,7 @@ let section_listing ?insn_at binary =
       | Insn.Leap (_, d) | Insn.Loadp (_, d) | Insn.Storep (d, _) ->
           Hashtbl.replace labelled (addr + len + d) ()
       | _ -> ())
-    insn_at;
+    agg;
   (* Pass 1: find the addresses the emission walk actually lands on —
      only those can carry a label line.  Branch targets inside an
      overlapped decode stay absolute. *)
@@ -82,7 +79,7 @@ let section_listing ?insn_at binary =
   let addr = ref base in
   while !addr < vend do
     Hashtbl.replace line_starts !addr ();
-    match Hashtbl.find_opt insn_at !addr with
+    match boundary !addr with
     | Some (_, len) -> addr := !addr + len
     | None -> incr addr
   done;
@@ -96,7 +93,7 @@ let section_listing ?insn_at binary =
   let addr = ref base in
   while !addr < vend do
     if Hashtbl.mem labelled !addr then Buffer.add_string buf (label_of !addr ^ ":\n");
-    match Hashtbl.find_opt insn_at !addr with
+    match boundary !addr with
     | Some (insn, len) ->
         Buffer.add_string buf
           (Printf.sprintf "    %s\n" (render_insn ~at:!addr ~target_label insn));

@@ -9,12 +9,9 @@
     strong cross-check between the decoder, the parser and the
     assembler. *)
 
-val section_listing :
-  ?insn_at:(int, Zvm.Insn.t * int) Hashtbl.t ->
-  Zelf.Binary.t ->
-  string
-(** Listing for the binary's text section.  [insn_at] defaults to running
-    the aggregate disassembler; pass boundaries to control the decode. *)
+val section_listing : Zelf.Binary.t -> string
+(** Listing for the binary's text section, over the aggregate
+    disassembler's instruction boundaries. *)
 
 val program_listing : Zelf.Binary.t -> string
 (** Full reparseable program: text listing plus every data section as

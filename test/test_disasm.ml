@@ -9,12 +9,11 @@ let binary_of_text ?(extra = []) ?(entry = 0x1000) code =
 
 let test_linear_covers_clean_code () =
   let code = Zvm.Encode.encode_all Insn.[ Movi (Reg.R0, 1); Nop; Ret ] in
-  let lin = Disasm.Linear.sweep (binary_of_text code) in
-  Alcotest.(check (option int)) "first insn" (Some 0x1000) (Disasm.Linear.covering_start lin 0x1000);
-  Alcotest.(check (option int)) "mid insn covered" (Some 0x1000)
-    (Disasm.Linear.covering_start lin 0x1003);
-  Alcotest.(check (option int)) "nop" (Some 0x1006) (Disasm.Linear.covering_start lin 0x1006);
-  Alcotest.(check bool) "no data" false (Disasm.Linear.is_data lin 0x1000)
+  let cover = (Disasm.Linear.sweep (binary_of_text code)).Disasm.Linear.cover in
+  Alcotest.(check int) "first insn" 0x1000 cover.(0);
+  Alcotest.(check int) "mid insn covered" 0x1000 cover.(3);
+  Alcotest.(check int) "nop" 0x1006 cover.(6);
+  Alcotest.(check bool) "no data" false (Array.mem Disasm.Claim.data cover)
 
 let test_linear_resyncs_on_bad_byte () =
   (* 0x00 is not an opcode: linear marks it data and resumes next byte. *)
@@ -22,9 +21,9 @@ let test_linear_resyncs_on_bad_byte () =
   Buffer.add_bytes buf (Zvm.Encode.to_bytes Insn.Nop);
   Buffer.add_char buf '\x00';
   Buffer.add_bytes buf (Zvm.Encode.to_bytes Insn.Ret);
-  let lin = Disasm.Linear.sweep (binary_of_text (Buffer.to_bytes buf)) in
-  Alcotest.(check bool) "bad byte is data" true (Disasm.Linear.is_data lin 0x1001);
-  Alcotest.(check (option int)) "resynced" (Some 0x1002) (Disasm.Linear.covering_start lin 0x1002)
+  let cover = (Disasm.Linear.sweep (binary_of_text (Buffer.to_bytes buf))).Disasm.Linear.cover in
+  Alcotest.(check int) "bad byte is data" Disasm.Claim.data cover.(1);
+  Alcotest.(check int) "resynced" 0x1002 cover.(2)
 
 let test_recursive_stops_at_flow_end () =
   (* ret; then unreferenced junk that decodes fine. *)
@@ -210,15 +209,26 @@ let test_table_truncated_last_insn () =
 
 (* -- aggregation is unchanged by the table and the per-offset sweep -- *)
 
+(* A source's boundaries as (address, length) pairs, read off its cover:
+   a boundary's length is the run of bytes claiming its start. *)
+let source_boundaries (s : Disasm.Source.t) =
+  let base = s.Disasm.Source.base and claims = s.Disasm.Source.claims in
+  List.filter_map
+    (fun off ->
+      if claims.(off) <> base + off then None
+      else
+        let n = ref 1 in
+        while off + !n < s.Disasm.Source.len && claims.(off + !n) = base + off do incr n done;
+        Some (base + off, !n))
+    (List.init s.Disasm.Source.len Fun.id)
+
 (* Reference: the global-sort overlap accounting the per-offset sweep
-   replaced, kept verbatim. *)
+   replaced, kept verbatim but for reading boundaries off the covers. *)
 let reference_overlap_mismatches (primaries : Disasm.Source.t list) =
   let boundaries =
     List.concat_map
       (fun (s : Disasm.Source.t) ->
-        Hashtbl.fold
-          (fun addr (_, ilen) acc -> (addr, ilen, s.Disasm.Source.name) :: acc)
-          s.Disasm.Source.insns [])
+        List.map (fun (addr, ilen) -> (addr, ilen, s.Disasm.Source.name)) (source_boundaries s))
       primaries
     |> List.sort compare
   in
@@ -261,7 +271,10 @@ let overlap_matches_reference binary =
   agg.Disasm.Aggregate.tally.Disasm.Aggregate.overlap_len_mismatch = count
   && drop (List.length ws - count) ws = warnings
 
-let sorted_insns tbl = Hashtbl.fold (fun a v acc -> (a, v) :: acc) tbl [] |> List.sort compare
+let boundary_list agg =
+  let acc = ref [] in
+  Disasm.Aggregate.iter_boundaries (fun a insn len -> acc := (a, insn, len) :: !acc) agg;
+  List.rev !acc
 
 let run_matches_untabled ~infer binary =
   let primaries, inf = untabled_sources ~infer binary in
@@ -277,7 +290,7 @@ let run_matches_untabled ~infer binary =
   let got = Disasm.Aggregate.run ~infer ~decoded:(Decoded.create binary) binary in
   let open Disasm.Aggregate in
   got.verdicts = expect.verdicts
-  && sorted_insns got.insn_at = sorted_insns expect.insn_at
+  && boundary_list got = boundary_list expect
   && got.warnings = expect.warnings && got.tally = expect.tally
   && got.refined = expect.refined && got.pin_hints = expect.pin_hints
 
@@ -298,7 +311,9 @@ let test_overlap_trap_matches_reference () =
 
 (* Dense random boundary sets over a short range, from sources that may
    share a name: every overlap shape and ordering tie the sweep must
-   reproduce, far denser than real disassemblers produce. *)
+   reproduce, far denser than real disassemblers produce.  A source's
+   boundaries are a cover, so within one source a boundary overlapping an
+   earlier one of the list is dropped. *)
 let gen_boundary_sets =
   QCheck.(
     make
@@ -316,28 +331,35 @@ let prop_overlap_random_sources =
   QCheck.Test.make ~count:300 ~name:"overlap sweep equals the global sort on random boundaries"
     gen_boundary_sets (fun sets ->
       let base = 0x1000 and len = 48 in
+      let binary = binary_of_text (Bytes.make len '\x00') in
       let primaries =
         List.map
           (fun (name, bs) ->
-            let insns = Hashtbl.create 16 in
-            List.iter (fun (o, l) -> Hashtbl.replace insns (base + o) (Insn.Nop, l)) bs;
+            let claims = Array.make len Disasm.Claim.unknown in
+            List.iter
+              (fun (o, l) ->
+                if Array.for_all (( = ) Disasm.Claim.unknown) (Array.sub claims o l) then
+                  Array.fill claims o l (base + o))
+              bs;
             {
               Disasm.Source.name;
               base;
               len;
-              claims = Array.make len Disasm.Source.Unknown;
-              insns;
+              claims;
+              decoded = Disasm.Decoded.create binary;
               confidence = Disasm.Source.High;
               kind = Disasm.Source.Primary;
               tags = [||];
             })
           sets
       in
-      let binary = binary_of_text (Bytes.make len '\x00') in
       let count, warnings = reference_overlap_mismatches primaries in
       let agg = Disasm.Aggregate.combine_sources binary primaries in
+      (* The overlap warnings follow the per-byte verdict warnings the
+         claims now also raise. *)
+      let ws = agg.Disasm.Aggregate.warnings in
       agg.Disasm.Aggregate.tally.Disasm.Aggregate.overlap_len_mismatch = count
-      && agg.Disasm.Aggregate.warnings = warnings)
+      && drop (List.length ws - count) ws = warnings)
 
 let prop_overlap_matches_reference =
   QCheck.Test.make ~count:16 ~name:"per-offset overlap sweep equals the global sort"

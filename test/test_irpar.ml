@@ -182,6 +182,116 @@ let test_composes_with_delta () =
   Alcotest.(check bool) "memo hit" true
     (warm.Zipr.Pipeline.cache.Zipr.Pipeline.routine_hits > 0)
 
+(* -- one boundary format on every acquisition path -- *)
+
+(* Every boundary an aggregate yields is the decode-table entry at its
+   offset, iteration is strictly ascending, and lookup and count agree
+   with it. *)
+let boundaries_match_table binary (agg : Disasm.Aggregate.t) =
+  let d = Disasm.Decoded.create binary in
+  let base = Disasm.Decoded.base d in
+  let ok = ref true and prev = ref min_int and n = ref 0 in
+  Disasm.Aggregate.iter_boundaries
+    (fun addr insn len ->
+      let off = addr - base in
+      incr n;
+      if
+        addr <= !prev || off < 0
+        || off >= Disasm.Decoded.len d
+        || len <> Disasm.Decoded.length d off
+        || len = 0
+        || insn <> Disasm.Decoded.insn d off
+        || Disasm.Aggregate.boundary agg addr <> Some (insn, len)
+      then ok := false;
+      prev := addr)
+    agg;
+  !ok && !n = Disasm.Aggregate.boundary_count agg
+
+(* The aggregates of the four acquisition paths, where each applies: the
+   cold run, the delta path's stitch once its linearly framed chunks
+   validate, the parallel builder's (both materialize from the
+   traversal), and a snapshot restore. *)
+let acquisitions ~infer binary =
+  let pin_config = Analysis.Ibt.default_config in
+  let cold = Disasm.Aggregate.run ~infer binary in
+  let stitched =
+    let decoded = Disasm.Decoded.create binary in
+    let scan = Chunker.scan ~decoded binary in
+    let rec_ = Disasm.Recursive.traverse ~decoded binary in
+    match
+      Array.iter
+        (fun c -> Zipr.Stitch.validate_chunk rec_ c (Zipr.Stitch.local_linear decoded c))
+        scan.Chunker.chunks
+    with
+    | () -> [ Zipr.Stitch.of_recursive ~infer binary rec_ ]
+    | exception Zipr.Stitch.Fallback -> []
+  in
+  let par =
+    match Zipr.Par_ir.build ~jobs:1 ~pin_config ~infer binary with
+    | Some ir -> [ ir.Zipr.Ir_construction.aggregate ]
+    | None -> []
+  in
+  let restored =
+    let ir = Zipr.Ir_construction.build_from_aggregate ~pin_config binary cold in
+    match Zipr.Ir_construction.restore binary (Zipr.Ir_construction.snapshot ir) with
+    | Ok ir -> ir.Zipr.Ir_construction.aggregate
+    | Error m -> Alcotest.failf "restore failed: %s" m
+  in
+  (cold :: restored :: stitched) @ par
+
+let prop_boundaries_are_table_entries =
+  QCheck.Test.make ~count:16
+    ~name:"boundaries are decode-table entries, ascending, on every acquisition path"
+    Test_disasm.gen_corpus_case (fun case ->
+      let binary = Test_disasm.corpus_binary case in
+      List.for_all
+        (fun infer -> List.for_all (boundaries_match_table binary) (acquisitions ~infer binary))
+        [ false; true ])
+
+(* Most small members carry data islands, so only the cold and restore
+   paths apply to them; a large member validates on all four. *)
+let test_large_boundaries_on_every_path () =
+  let binary = (Scale.generate_large ~seed:1 0).Scale.binary in
+  List.iter
+    (fun infer ->
+      let aggs = acquisitions ~infer binary in
+      Alcotest.(check int) "four acquisition paths" 4 (List.length aggs);
+      List.iter
+        (fun agg ->
+          Alcotest.(check bool) "boundaries are table entries" true
+            (boundaries_match_table binary agg))
+        aggs)
+    [ false; true ]
+
+(* A snapshot whose boundary record disagrees with the text must not
+   restore: the record's address moves one byte, and separately its
+   instruction is replaced by another. *)
+let test_restore_refuses_foreign_boundary () =
+  let binary = (Scale.generate_one ~seed:23 0).Scale.binary in
+  let snap = Zipr.Ir_construction.snapshot (Zipr.Ir_construction.build binary) in
+  let lines = String.split_on_char '\n' snap in
+  let first_a = List.find (fun l -> String.length l > 2 && String.sub l 0 2 = "A ") lines in
+  let mutate f =
+    String.concat "\n" (List.map (fun l -> if l == first_a then f l else l) lines)
+  in
+  let restores payload = Result.is_ok (Zipr.Ir_construction.restore binary payload) in
+  Alcotest.(check bool) "unmodified snapshot restores" true (restores snap);
+  let addr, hex, len =
+    match String.split_on_char ' ' first_a with
+    | [ "A"; a; h; l ] -> (int_of_string a, h, l)
+    | _ -> Alcotest.fail "malformed A record"
+  in
+  Alcotest.(check bool) "shifted boundary refused" false
+    (restores (mutate (fun _ -> Printf.sprintf "A %d %s %s" (addr + 1) hex len)));
+  let other =
+    Zipr_util.Hex.of_bytes
+      (Zvm.Encode.to_bytes
+         (if Zipr_util.Hex.of_bytes (Zvm.Encode.to_bytes Zvm.Insn.Halt) = hex then Zvm.Insn.Ret
+          else Zvm.Insn.Halt))
+  in
+  Alcotest.(check bool) "foreign instruction refused" false
+    (restores (mutate (fun _ -> Printf.sprintf "A %d %s 1" addr other)))
+
 let suite =
   [
     Alcotest.test_case "large class: >= 256 KiB text, deterministic" `Quick test_large_class;
@@ -195,4 +305,9 @@ let suite =
     Alcotest.test_case "jobs 0 auto-detects" `Quick test_jobs_auto;
     Alcotest.test_case "parallel cold build composes with delta cache" `Slow
       test_composes_with_delta;
+    QCheck_alcotest.to_alcotest prop_boundaries_are_table_entries;
+    Alcotest.test_case "large member: boundaries on every acquisition path" `Slow
+      test_large_boundaries_on_every_path;
+    Alcotest.test_case "restore refuses a boundary the text disagrees with" `Quick
+      test_restore_refuses_foreign_boundary;
   ]

@@ -1646,27 +1646,31 @@ let () =
     | "--trace" :: rest ->
         trace_mode := true;
         parse names rest
-    | f :: rest when String.length f > 2 && String.sub f 0 2 = "--" ->
-        say
+    | f :: _ when String.length f > 2 && String.sub f 0 2 = "--" ->
+        Format.eprintf
           "unknown flag %S; available: --json, --small, --jobs N, --ir-jobs N, --clients N, \
-           --count N, --trace"
+           --count N, --trace@."
           f;
-        parse names rest
+        exit 2
     | name :: rest -> parse (name :: names) rest
   in
   let names = parse [] argv in
+  (* Refuse a misspelt experiment before running any of the others. *)
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name experiments) then begin
+        Format.eprintf "unknown experiment %S; available: %s@." name
+          (String.concat ", " (List.map fst experiments));
+        exit 2
+      end)
+    names;
   let requested = match names with [] -> List.map fst experiments | _ -> names in
   let sink = if !trace_mode then Some (Obs.Tracer.create ()) else None in
   Option.iter Obs.install sink;
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-          f ();
-          say ""
-      | None ->
-          say "unknown experiment %S; available: %s" name
-            (String.concat ", " (List.map fst experiments)))
+      (List.assoc name experiments) ();
+      say "")
     requested;
   Option.iter
     (fun s ->

@@ -579,9 +579,11 @@ let batch_cmd =
       & info [ "delta" ]
           ~doc:
             "Enable the routine-granular delta cache: binaries that share routines with \
-             earlier (or cached) inputs reuse per-routine IR fragments and whole-IR \
-             memo entries instead of rebuilding. With $(b,--cache) DIR the fragment \
-             store persists under DIR/delta. Outputs are byte-identical either way.")
+             earlier (or cached) inputs are stitched from one validated recursive \
+             traversal instead of the full disassembly aggregation, and repeated \
+             binaries are answered from a whole-IR memo. With $(b,--cache) DIR the \
+             routine fragment store persists under DIR/delta. Outputs are \
+             byte-identical either way.")
   in
   let cache_disk_entries =
     Arg.(
@@ -802,10 +804,10 @@ let serve_cmd =
       & info [ "delta" ]
           ~doc:
             "Enable the shared routine-granular delta cache: requests whose binaries \
-             share routines with earlier requests stitch cached per-routine IR \
-             fragments instead of rebuilding from scratch, and repeated binaries are \
-             answered from a whole-IR memo bounded by $(b,--cache-entries) only (no \
-             byte budget).")
+             share routines with earlier requests are stitched from one validated \
+             recursive traversal instead of the full disassembly aggregation, and \
+             repeated binaries are answered from a whole-IR memo bounded by \
+             $(b,--cache-entries) only (no byte budget).")
   in
   let trace =
     Arg.(

@@ -2,59 +2,42 @@
 
    The cold pipeline rebuilds the whole IR from scratch for every input,
    even when consecutive inputs are near-identical versions of one
-   program.  This module caches IR at two granularities and composes the
-   pieces into a full {!Ir_construction.t}:
+   program.  This module caches IR at two granularities:
 
    - {e Level 1 — routine fragments.}  {!Disasm.Chunker} cuts the text at
      routine boundaries; for each chunk whose disassembly aggregation was
-     conclusive (no ambiguous byte, no instruction crossing a cut) we
-     store its instruction boundaries, keyed by a digest of the chunk
-     bytes, the 6-byte suffix, and the chunk-relative inbound-reference
-     fingerprint.  A changed caller whose references into a callee are
-     unchanged leaves the callee's key — and cached entry — intact.
+     conclusive (no ambiguous byte, no instruction crossing a cut, no
+     refined byte) we record its key, a digest of the chunk bytes, the
+     6-byte suffix, and the chunk-relative inbound-reference fingerprint.
+     A fragment holds nothing else: the instructions are the decode
+     table's, and a stitch re-derives and validates them.  A changed
+     caller whose references into a callee are unchanged leaves the
+     callee's key — and cached entry — intact.  Fragment hits decide
+     when a stitch is worth trying.
 
    - {e Level 0 — assembled-IR memo.}  The finished pristine
      [Ir_construction.t] for a whole binary, keyed by everything.  A hit
      pays one {!Irdb.Db.copy}; this is what makes fully-warm repeat
      rewrites (fuzzing loops, corpus re-runs) nearly free.
 
-   Byte-identity with the cold path is by construction, not by luck:
-
-   - the stitched aggregate is only used when {e every} chunk passes a
-     validation that makes it provably equal to what {!Disasm.Aggregate.run}
-     would produce.  A fresh (cheap) recursive traversal is compared
-     bidirectionally against the stitched boundaries: every boundary must
-     be a recursive instruction with identical framing, every recursive
-     byte must be covered by a boundary, every gap byte unreached.  Under
-     those conditions the three cold sources are fully determined: linear
-     framing inside each chunk is a pure function of the key material
-     (the sweep enters each chunk at its base by induction over the
-     validated tiling), and the superset source abstains everywhere
-     recursive traversal reached and claims [Data] exactly on the
-     undecodable gap bytes.  So verdicts, boundaries and (absence of)
-     warnings coincide with the cold aggregate's.
-
-   - the stitched aggregate then flows through the {e same}
-     {!Ir_construction.build_from_aggregate} as a cold build.
-
-   - any validation failure abandons the stitch and reports a miss; the
-     caller falls back to the cold path (and harvests it), so a binary
-     the scheme cannot prove clean is merely slow, never wrong. *)
+   The stitch is {!Par_ir.build} at one job: a fresh recursive traversal,
+   validated chunk by chunk against the linear framing and materialized
+   from the traversal only when every chunk passes, so its aggregate
+   provably equals what {!Disasm.Aggregate.run} would produce and flows
+   through the same {!Ir_construction.build_from_aggregate} as a cold
+   build.  A declined stitch reports a miss; the caller falls back to the
+   cold path (and harvests it), so a binary the scheme cannot prove clean
+   is merely slow, never wrong. *)
 
 module Db = Irdb.Db
 module Agg = Disasm.Aggregate
 module Chunker = Disasm.Chunker
 module Rcache = Irdb.Rcache
 
-let codec_version = "ZIRDL1"
-
-type fragment = Stitch.fragment = { boundaries : (int * Zvm.Insn.t * int) array }
-(* (chunk-relative start, instruction, encoded length), ascending,
-   non-overlapping, within the chunk.  The framing/validation machinery
-   lives in {!Stitch}, shared with the parallel IR builder. *)
+let codec_version = "ZIRDL2"
 
 type t = {
-  fragments : fragment Rcache.t;
+  fragments : unit Rcache.t;  (* the keys of conclusive chunks *)
   memo : (Ir_construction.t * int) Rcache.t;
       (* pristine IR + its chunk count (so a memo hit can report
          routine-level hit counters without re-running the chunker) *)
@@ -78,78 +61,6 @@ type outcome = {
   keys : key_set;
 }
 
-(* ---------- fragment disk codec ---------- *)
-
-let hex_of_bytes b =
-  let n = Bytes.length b in
-  let out = Buffer.create (2 * n) in
-  for i = 0 to n - 1 do
-    Buffer.add_string out (Printf.sprintf "%02x" (Char.code (Bytes.get b i)))
-  done;
-  Buffer.contents out
-
-let bytes_of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    try
-      Some
-        (Bytes.init (n / 2) (fun i ->
-             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
-    with _ -> None
-
-let encode_fragment f =
-  let b = Buffer.create (64 + (Array.length f.boundaries * 24)) in
-  Buffer.add_string b
-    (Printf.sprintf "%s %d\n" codec_version (Array.length f.boundaries));
-  Array.iter
-    (fun (rel, insn, len) ->
-      Buffer.add_string b
-        (Printf.sprintf "%d %d %s\n" rel len
-           (hex_of_bytes (Zvm.Encode.to_bytes insn))))
-    f.boundaries;
-  Buffer.contents b
-
-(* Total: any framing, count, hex, decode or length anomaly is a miss. *)
-let decode_fragment s =
-  match String.split_on_char '\n' s with
-  | header :: rest -> (
-      match String.split_on_char ' ' header with
-      | [ v; n ] when v = codec_version -> (
-          match int_of_string_opt n with
-          | None -> None
-          | Some n when n < 0 || List.length rest < n -> None
-          | Some n -> (
-              let parse line =
-                match String.split_on_char ' ' line with
-                | [ rel; len; hex ] -> (
-                    match
-                      (int_of_string_opt rel, int_of_string_opt len, bytes_of_hex hex)
-                    with
-                    | Some rel, Some len, Some raw -> (
-                        match Zvm.Decode.decode_bytes raw ~pos:0 with
-                        | Ok (insn, ilen) when ilen = len && ilen = Bytes.length raw ->
-                            Some (rel, insn, len)
-                        | _ -> None)
-                    | _ -> None)
-                | _ -> None
-              in
-              let rec go i acc = function
-                | _ when i = n -> Some (List.rev acc)
-                | [] -> None
-                | line :: tl -> (
-                    match parse line with
-                    | Some b -> go (i + 1) (b :: acc) tl
-                    | None -> None)
-              in
-              match go 0 [] rest with
-              | Some bs -> Some { boundaries = Array.of_list bs }
-              | None -> None))
-      | _ -> None)
-  | [] -> None
-
-let weigh_fragment f = 64 + (56 * Array.length f.boundaries)
-
 (* A resident memo entry holds the whole IR: rows, links and the pin
    list (per row), and the aggregate's per-byte verdict array (8 bytes a
    text byte) and dense boundary store (a length byte and an instruction
@@ -168,29 +79,32 @@ let create ?fragment_bytes ?(memo_capacity = 64) ?dir ?max_disk_entries ?max_dis
           Rcache.dir;
           ext = ".zirr";
           tag = "ZIRRC1";
-          encode = encode_fragment;
-          decode = decode_fragment;
+          encode = (fun () -> codec_version);
+          decode = (fun s -> if s = codec_version then Some () else None);
           max_entries = max_disk_entries;
           max_bytes = max_disk_bytes;
         })
       dir
   in
+  (* A fragment is its key alone: in memory it weighs roughly the LRU
+     node and table slot that hold it, and on disk it is the codec
+     version (the store frames the key around it). *)
   {
     fragments =
       Rcache.create ~capacity:65536 ?max_bytes:fragment_bytes ?disk ~name:"delta.frag"
-        ~weigh:weigh_fragment ();
+        ~weigh:(fun () -> 64) ();
     memo = Rcache.create ~capacity:memo_capacity ~name:"delta.memo" ~weigh:weigh_memo ();
   }
 
 (* ---------- keys ---------- *)
 
-(* Everything that determines a chunk's fragment: codec version, pin
-   fingerprint (pins are not stored per fragment, but the gate's notion
-   of a conclusive build is downstream of the same configuration), the
-   chunk bytes, the decode lookahead past the cut, the chunk-relative
-   inbound references, and whether the chunk is flush with the text end
-   (decode attempts near the end of the {e last} chunk are truncated by
-   the section boundary, not by the next chunk's bytes). *)
+(* Everything that determines whether a chunk is conclusive: codec
+   version, pin fingerprint (the gate's notion of a conclusive build is
+   downstream of the same configuration), the chunk bytes, the decode
+   lookahead past the cut, the chunk-relative inbound references, and
+   whether the chunk is flush with the text end (decode attempts near
+   the end of the {e last} chunk are truncated by the section boundary,
+   not by the next chunk's bytes). *)
 let chunk_key ~fp binary (scan : Chunker.t) (c : Chunker.chunk) =
   let flags =
     Printf.sprintf "%c%c"
@@ -214,47 +128,14 @@ let memo_key ~fp binary =
   Irdb.Cache.key
     [ codec_version ^ "/memo"; fp; Bytes.to_string (Zelf.Binary.serialize binary) ]
 
-(* ---------- partial rebuild + validation ---------- *)
+(* ---------- memo ---------- *)
 
-(* Framing and validation are {!Stitch}'s (shared with the parallel IR
-   builder); this path runs them serially over the chunk array with one
-   reusable scratch. *)
-
-let stitch t ~pin_config ~infer binary ~decoded ~memo_key ~(scan : Chunker.t) ~chunk_keys
-    frags =
-  match
-    Obs.span "delta_stitch" (fun () ->
-        let rec_ =
-          Obs.span "recursive" (fun () -> Disasm.Recursive.traverse ~decoded binary)
-        in
-        let scratch = Stitch.scratch () in
-        let resolved =
-          Array.mapi
-            (fun i c ->
-              match frags.(i) with
-              | Some f -> (f, false)
-              | None -> (Stitch.local_linear ~scratch decoded c, true))
-            scan.Chunker.chunks
-        in
-        Array.iteri
-          (fun i c -> Stitch.validate_chunk ~scratch rec_ c (fst resolved.(i)))
-          scan.Chunker.chunks;
-        (rec_, resolved))
-  with
-  | exception Stitch.Fallback -> None
-  | rec_, resolved ->
-      (* Every chunk of a tiling of the whole text validated: the merged
-         fragments are the traversal. *)
-      let agg = Stitch.of_recursive ~infer binary rec_ in
-      let ir = Ir_construction.build_from_aggregate ~pin_config binary agg in
-      Array.iteri
-        (fun i (f, rebuilt) ->
-          if rebuilt then Rcache.store t.fragments ~key:chunk_keys.(i) f)
-        resolved;
-      Rcache.store t.memo ~key:memo_key
-        ( { ir with Ir_construction.db = Db.copy ir.Ir_construction.db },
-          Array.length scan.Chunker.chunks );
-      Some ir
+(* The memo keeps its own copy of the pristine IR (transforms mutate the
+   caller's) and the chunk count a later hit reports as routine hits. *)
+let store_memo t ~key (ir : Ir_construction.t) (scan : Chunker.t) =
+  Rcache.store t.memo ~key
+    ( { ir with Ir_construction.db = Db.copy ir.Ir_construction.db },
+      Array.length scan.Chunker.chunks )
 
 (* ---------- public entry points ---------- *)
 
@@ -281,44 +162,51 @@ let obtain t ~pin_config ?(infer = false) binary =
   | None -> (
       let scan, chunk_keys = Lazy.force scan_keys in
       let n = Array.length scan.Chunker.chunks in
-      let frags = Array.map (Rcache.find t.fragments) chunk_keys in
-      let n_hit = Array.fold_left (fun a f -> if f = None then a else a + 1) 0 frags in
-      if n_hit = 0 then begin
-        Obs.count "delta.routine_misses" n;
-        { ir = None; routine_hits = 0; routine_misses = n; delta_built = false; keys }
-      end
-      else
-        match
-          stitch t ~pin_config ~infer binary ~decoded:(Lazy.force decoded) ~memo_key ~scan
-            ~chunk_keys frags
-        with
-        | Some ir ->
-            Obs.count "delta.routine_hits" n_hit;
-            Obs.count "delta.routine_misses" (n - n_hit);
-            Obs.count "delta.delta_builds" 1;
-            {
-              ir = Some ir;
-              routine_hits = n_hit;
-              routine_misses = n - n_hit;
-              delta_built = true;
-              keys;
-            }
-        | None ->
-            Obs.count "delta.fallbacks" 1;
-            Obs.count "delta.routine_misses" n;
-            { ir = None; routine_hits = 0; routine_misses = n; delta_built = false; keys })
+      let hit = Array.map (fun k -> Rcache.find t.fragments k <> None) chunk_keys in
+      let n_hit = Array.fold_left (fun a h -> if h then a + 1 else a) 0 hit in
+      let stitched =
+        (* A stitch costs a traversal; try it only once a fragment hit
+           says this binary shares routines with one built before. *)
+        if n_hit = 0 then None
+        else
+          Obs.span "delta_stitch" (fun () ->
+              Par_ir.build ~jobs:1 ~pin_config ~infer ~decoded:(Lazy.force decoded) binary)
+      in
+      match stitched with
+      | Some ir ->
+          (* The whole text validated, so every missed chunk is as
+             conclusive as a harvested one. *)
+          Array.iteri
+            (fun i h -> if not h then Rcache.store t.fragments ~key:chunk_keys.(i) ())
+            hit;
+          store_memo t ~key:memo_key ir scan;
+          Obs.count "delta.routine_hits" n_hit;
+          Obs.count "delta.routine_misses" (n - n_hit);
+          Obs.count "delta.delta_builds" 1;
+          {
+            ir = Some ir;
+            routine_hits = n_hit;
+            routine_misses = n - n_hit;
+            delta_built = true;
+            keys;
+          }
+      | None ->
+          if n_hit > 0 then Obs.count "delta.fallbacks" 1;
+          Obs.count "delta.routine_misses" n;
+          { ir = None; routine_hits = 0; routine_misses = n; delta_built = false; keys })
 
-(* Harvest gate: a chunk is cacheable iff, per the {e actual} cold
+(* Harvest gate: a chunk is recorded iff, per the {e actual} cold
    aggregate, it contains no ambiguous byte and its boundaries tile its
-   code bytes without crossing either cut.  Data bytes then necessarily
-   failed isolated decode (linear sweep attempted each one), so the
-   fragment's meaning is a pure function of its key material.
+   code bytes without crossing either cut.  Correctness never rests on a
+   fragment — the stitch validates the whole text afresh — so the gate
+   only decides what a hit promises: that a chunk with these bytes,
+   lookahead and inbound references disassembled conclusively before,
+   which is when a stitch is worth its traversal.
 
    Bytes the inference refiner flipped are excluded outright: their
    verdicts rest on whole-program facts (reachability closure, resolved
    computed targets), not on the chunk's bytes and inbound references,
-   so a fragment covering them would not be a pure function of its key
-   and could be wrongly reused after a distant edit. *)
+   so a hit on them would promise nothing about the next binary. *)
 let refined_overlaps (agg : Agg.t) (c : Chunker.chunk) =
   List.exists
     (fun (off, _) ->
@@ -327,7 +215,6 @@ let refined_overlaps (agg : Agg.t) (c : Chunker.chunk) =
     agg.Agg.refined
 
 let gate_chunk (agg : Agg.t) (c : Chunker.chunk) =
-  let acc = ref [] in
   let ok = ref (not (refined_overlaps agg c)) in
   let off = ref c.Chunker.lo in
   while !ok && !off < c.Chunker.hi do
@@ -336,33 +223,22 @@ let gate_chunk (agg : Agg.t) (c : Chunker.chunk) =
     | Agg.Data -> incr off
     | Agg.Code -> (
         match Agg.boundary agg !off with
-        | Some (insn, ilen) when !off + ilen <= c.Chunker.hi ->
-            let all_code = ref true in
+        | Some (_, ilen) when !off + ilen <= c.Chunker.hi ->
             for j = !off to !off + ilen - 1 do
-              if agg.Agg.verdicts.(j - agg.Agg.base) <> Agg.Code then
-                all_code := false
+              if agg.Agg.verdicts.(j - agg.Agg.base) <> Agg.Code then ok := false
             done;
-            if !all_code then begin
-              acc := (!off - c.Chunker.lo, insn, ilen) :: !acc;
-              off := !off + ilen
-            end
-            else ok := false
+            off := !off + ilen
         | _ -> ok := false)
   done;
-  if !ok then Some { boundaries = Array.of_list (List.rev !acc) } else None
+  !ok
 
 let harvest t (o : outcome) (ir : Ir_construction.t) =
   let agg = ir.Ir_construction.aggregate in
   let scan, chunk_keys = Lazy.force o.keys.scan_keys in
   Array.iteri
-    (fun i c ->
-      match gate_chunk agg c with
-      | Some f -> Rcache.store t.fragments ~key:chunk_keys.(i) f
-      | None -> ())
+    (fun i c -> if gate_chunk agg c then Rcache.store t.fragments ~key:chunk_keys.(i) ())
     scan.Chunker.chunks;
-  Rcache.store t.memo ~key:o.keys.memo_key
-    ( { ir with Ir_construction.db = Db.copy ir.Ir_construction.db },
-      Array.length scan.Chunker.chunks )
+  store_memo t ~key:o.keys.memo_key ir scan
 
 let decoded (o : outcome) =
   if Lazy.is_val o.keys.decoded then Some (Lazy.force o.keys.decoded) else None

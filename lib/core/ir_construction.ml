@@ -71,10 +71,11 @@ let speculative_decode db binary warnings addr =
 
 (* Everything downstream of disassembly: pin analysis, row/link
    construction, mandatory transforms, pin assignment, entry, function
-   identification.  Factored out of {!build} so the delta path
-   ({!Delta}) can run the {e identical} code over an aggregate stitched
-   from cached routine fragments — byte-identity of the incremental path
-   rests on sharing this function, not reimplementing it. *)
+   identification.  Factored out of {!build} so the validated build
+   ({!Par_ir}, which is also the delta path's stitch) can run the
+   {e identical} code over an aggregate materialized from a validated
+   traversal — byte-identity of those paths rests on sharing this
+   function, not reimplementing it. *)
 let build_from_aggregate ?pin_config binary (aggregate : Agg.t) =
   let warnings = ref [] in
   List.iter (fun w -> warnings := w :: !warnings) aggregate.Agg.warnings;

@@ -46,10 +46,10 @@ val build_from_aggregate :
     aggregate: pin analysis, row/link construction, mandatory
     transforms, pin assignment, entry designation, function
     identification.  [build] is [build_from_aggregate] over
-    [Aggregate.run]; the delta path ({!Delta}) calls this over an
-    aggregate stitched from cached routine fragments, so both paths run
-    the identical downstream code — the foundation of the incremental
-    path's byte-identity guarantee. *)
+    [Aggregate.run]; the validated build ({!Par_ir}, also the delta
+    path's stitch) calls this over an aggregate materialized from a
+    validated traversal, so every path runs the identical downstream
+    code — the foundation of their byte-identity guarantee. *)
 
 (** {1 Snapshot / restore}
 

@@ -103,8 +103,8 @@ val rewrite :
     cache may be shared across domains.
 
     With [routine_cache], the routine-granular delta path ({!Delta}) is
-    consulted first: a whole-binary memo hit or a validated stitch of
-    cached routine fragments replaces IR construction entirely, and any
+    consulted first: a whole-binary memo hit or, once a routine
+    fragment hits, a validated stitch replaces IR construction entirely, and any
     snapshot restore or cold build is harvested back into the cache.
     The memo is then the only in-memory whole-IR store: an [ir_cache]
     takes part only as a persistent tier, i.e. when it has a disk

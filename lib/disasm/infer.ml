@@ -300,7 +300,7 @@ let resolve_site binary ~insns ~joins ~pred ~lo ~hi site reg =
 
 (* Resolved in-text targets of every register-indirect site in a
    {e validated} instruction set (no ambiguity anywhere), sorted: the
-   stitched aggregation paths (Delta, Par_ir) use this to reproduce the
+   validated build (Par_ir, also the delta stitch) uses this to reproduce the
    pin hints the full inference pass derives on the cold path, which on
    validated binaries performs exactly this one resolution round. *)
 let resolve_pins binary ~iter =

@@ -53,7 +53,7 @@ val resolve_pins :
     validated traversal's {!Recursive.iter}, or an aggregate's boundary
     iterator).  On a binary whose aggregation has no ambiguity the full
     inference pass performs exactly one resolution round over exactly
-    this set, so the stitched aggregation paths ([Delta], [Par_ir]) use
+    this set, so the validated build ([Par_ir], also the delta stitch) uses
     this to reproduce [run]'s [pin_hints] without re-running
     discovery. *)
 

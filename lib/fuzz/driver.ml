@@ -266,9 +266,6 @@ let minimize ~ir_cache opts counters spec cfg input =
     ~check:(still_fails ~ir_cache opts counters)
     ~candidates:shrink_candidates (spec, cfg, input)
 
-let hex_of_string s =
-  String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.init (String.length s) (String.get s))))
-
 let repro_listing (spec, cfg, input) reason =
   let listing =
     match Gen.build spec with
@@ -277,7 +274,7 @@ let repro_listing (spec, cfg, input) reason =
   in
   Printf.sprintf
     "; ziprtool fuzz reproducer\n; spec: %s\n; config: %s\n; input (hex): %s\n; reason: %s\n%s"
-    (Gen.describe spec) (cfg_to_string cfg) (hex_of_string input) reason listing
+    (Gen.describe spec) (cfg_to_string cfg) (Zipr_util.Hex.of_string input) reason listing
 
 (* -- the main loop -- *)
 
@@ -370,13 +367,13 @@ let render_summary s =
       Buffer.add_string b (Printf.sprintf "case %d: %s\n" f.case f.reason);
       Buffer.add_string b (Printf.sprintf "  spec: %s\n" (Gen.describe f.spec));
       Buffer.add_string b (Printf.sprintf "  config: %s\n" (cfg_to_string f.cfg));
-      Buffer.add_string b (Printf.sprintf "  input (hex): %s\n" (hex_of_string f.input));
+      Buffer.add_string b (Printf.sprintf "  input (hex): %s\n" (Zipr_util.Hex.of_string f.input));
       Buffer.add_string b
         (Printf.sprintf "  minimized (%d shrink tests): %s\n" f.shrink_tests
            (Gen.describe f.min_spec));
       Buffer.add_string b (Printf.sprintf "  min config: %s\n" (cfg_to_string f.min_cfg));
       Buffer.add_string b
-        (Printf.sprintf "  min input (hex): %s\n" (hex_of_string f.min_input));
+        (Printf.sprintf "  min input (hex): %s\n" (Zipr_util.Hex.of_string f.min_input));
       Buffer.add_string b (Printf.sprintf "  min reason: %s\n" f.min_reason))
     s.failures;
   Buffer.contents b

@@ -2,7 +2,7 @@
    layer — the one store behind every IR cache in the tree.
 
    Payload type is a parameter: {!Cache} instantiates it at [string]
-   (serialized IR snapshots); the delta path at structured fragments and
+   (serialized IR snapshots); the delta path at routine-fragment keys and
    assembled IR, shared by reference so a hit costs a hashtable probe,
    not a parse.  The caller supplies a [weigh] function (approximate
    resident bytes) for the byte budget, and optionally a disk layer: a

@@ -98,7 +98,7 @@ val rewrite_all :
 
     [routine_cache] is likewise shared across workers: the delta path
     serves whole IRs from its memo and stitches partially changed
-    binaries from cached routine fragments, with the same byte-identity
+    binaries whose routine fragments hit, with the same byte-identity
     guarantee (see {!Zipr.Delta}). *)
 
 val pp_report : Format.formatter -> report -> unit

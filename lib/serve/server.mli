@@ -40,8 +40,8 @@ type config = {
   cache_disk_bytes : int option;  (** bound each store's total size likewise *)
   delta : bool;
       (** enable the shared routine-granular cache: requests are served
-          through {!Zipr.Delta} (whole-IR memo + routine-fragment
-          stitching) first; the snapshot IR cache then takes part only
+          through {!Zipr.Delta} (whole-IR memo, then a validated stitch
+          once a routine fragment hits) first; the snapshot IR cache then takes part only
           when [cache_dir] is set, as the persistent tier *)
   read_timeout_s : float;  (** per-connection socket read timeout *)
   max_ping_sleep_us : int;  (** cap on client-requested ping sleeps *)
@@ -87,7 +87,7 @@ type stats = {
   cache_misses : int;
   routine_hits : int;  (** routine-fragment + memo hits (delta mode) *)
   routine_misses : int;
-  delta_builds : int;  (** IRs assembled by stitching cached fragments *)
+  delta_builds : int;  (** IRs built by a validated stitch after a fragment hit *)
   queue_high_water : int;
   queue_bound : int;
   cache_resident_bytes : int;

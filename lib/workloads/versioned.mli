@@ -10,7 +10,7 @@
     should therefore hit on every unedited routine.  The pointer table's
     address words also make every routine a recursive-disassembly root,
     keeping the whole text unambiguous — the precondition for fragments
-    to be cacheable at all (DESIGN.md §12). *)
+    to be recorded and for a stitch to validate (DESIGN.md §12). *)
 
 type edit =
   | Insn_edit of int  (** regenerate routine [id]'s body *)

@@ -1,4 +1,4 @@
-(* The incremental (delta) IR path: chunking, routine-fragment caching,
+(* The incremental (delta) IR path: chunking, routine-fragment keys,
    stitching, and the byte-identity contract against the cold pipeline. *)
 
 module Chunker = Disasm.Chunker
@@ -113,6 +113,28 @@ let test_delta_byte_identity_and_hits () =
           1 c.Zipr.Pipeline.delta_builds
       end)
     vs
+
+(* Every version after the first stitches: the delta path's validated
+   build accepts each later version of every family, and its output is
+   the cold rewrite's. *)
+let test_versions_stitch () =
+  List.iter
+    (fun seed ->
+      let dc = Zipr.Delta.create () in
+      List.iteri
+        (fun i (v : Versioned.version) ->
+          let plain = rewrite v.Versioned.binary in
+          let cached = rewrite ~routine_cache:dc v.Versioned.binary in
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d v%d byte-identical" seed i)
+            true
+            (Bytes.equal (out plain) (out cached));
+          if i > 0 then
+            Alcotest.(check int)
+              (Printf.sprintf "seed %d v%d stitched" seed i)
+              1 cached.Zipr.Pipeline.cache.Zipr.Pipeline.delta_builds)
+        (Versioned.generate ~seed ~versions:4 ()))
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
 (* A single edited routine must not poison its unedited neighbours: the
    misses on the next version are bounded by a small constant (the edited
@@ -334,6 +356,7 @@ let suite =
       test_chunker_cuts_on_framing;
     Alcotest.test_case "delta outputs byte-identical, versions hit" `Quick
       test_delta_byte_identity_and_hits;
+    Alcotest.test_case "every later version stitches" `Quick test_versions_stitch;
     Alcotest.test_case "an edit does not poison unedited routines" `Quick test_edit_locality;
     Alcotest.test_case "second rewrite hits the whole-IR memo" `Quick test_memo_warm;
     Alcotest.test_case "fragments persist to disk and stitch back" `Quick test_disk_fragments;

@@ -1,6 +1,6 @@
 (* Intra-binary parallel IR construction: equality with the serial cold
    build (verdicts, pins, row order, bytes), fallback semantics on
-   binaries the stitch validation cannot prove clean, the 0-means-auto
+   binaries the span validation cannot prove clean, the 0-means-auto
    jobs rule, and the large workload class the irpar bench runs on. *)
 
 module Scale = Workloads.Scale
@@ -88,47 +88,39 @@ let test_large_par_build () =
 
 (* -- fallback semantics -- *)
 
-(* A fragment whose boundaries disagree with the recursive traversal —
-   here literally shifted off the true framing — must be rejected, and a
-   fragment straddling the chunk's upper cut must be rejected. *)
-let test_adversarial_fragment_falls_back () =
+(* A chunk task accepts the honest span and rejects an upper cut inside
+   a linear instruction, and a cover with one entry shifted off the
+   instruction it belongs to. *)
+let test_validate_span_falls_back () =
   let binary = (Scale.generate_one ~seed:23 0).Scale.binary in
-  let scan = Chunker.scan binary in
-  let decoded = Disasm.Decoded.create binary in
   let rec_ = Disasm.Recursive.traverse binary in
-  let c =
-    match
-      Array.find_opt
-        (fun (c : Chunker.chunk) ->
-          Array.length
-            (Zipr.Stitch.local_linear decoded c).Zipr.Stitch.boundaries
-          > 1)
-        scan.Chunker.chunks
-    with
-    | Some c -> c
-    | None -> Alcotest.fail "no chunk with two boundaries"
+  let base = rec_.Disasm.Recursive.base and len = rec_.Disasm.Recursive.len in
+  let falls_back r ~lo ~hi =
+    match Zipr.Par_ir.validate_span r ~lo ~hi with
+    | () -> false
+    | exception Zipr.Par_ir.Fallback -> true
   in
-  let f = Zipr.Stitch.local_linear decoded c in
-  (* The honest framing validates. *)
-  Zipr.Stitch.validate_chunk rec_ c f;
-  let shifted =
-    {
-      Zipr.Stitch.boundaries =
-        Array.map (fun (rel, insn, len) -> (rel + 1, insn, len)) f.Zipr.Stitch.boundaries;
-    }
+  (* The first traversed instruction longer than one byte. *)
+  let start =
+    let rec find off =
+      if off >= len then Alcotest.fail "no multi-byte instruction"
+      else if
+        rec_.Disasm.Recursive.cover.(off) = base + off
+        && Disasm.Decoded.length rec_.Disasm.Recursive.decoded off > 1
+      then base + off
+      else find (off + 1)
+    in
+    find 0
   in
-  (match Zipr.Stitch.validate_chunk rec_ c shifted with
-  | () -> Alcotest.fail "shifted framing must fall back"
-  | exception Zipr.Stitch.Fallback -> ());
-  let straddle =
-    {
-      Zipr.Stitch.boundaries =
-        [| (c.Chunker.hi - c.Chunker.lo - 1, (let _, i, _ = f.Zipr.Stitch.boundaries.(0) in i), 4) |];
-    }
-  in
-  match Zipr.Stitch.validate_chunk rec_ c straddle with
-  | () -> Alcotest.fail "cut-straddling framing must fall back"
-  | exception Zipr.Stitch.Fallback -> ()
+  let ilen = Disasm.Decoded.length rec_.Disasm.Recursive.decoded (start - base) in
+  Alcotest.(check bool) "the honest instruction validates" false
+    (falls_back rec_ ~lo:start ~hi:(start + ilen));
+  Alcotest.(check bool) "an upper cut inside it falls back" true
+    (falls_back rec_ ~lo:start ~hi:(start + ilen - 1));
+  let cover = Array.copy rec_.Disasm.Recursive.cover in
+  cover.(start - base + 1) <- start + 1;
+  Alcotest.(check bool) "a shifted cover entry falls back" true
+    (falls_back { rec_ with Disasm.Recursive.cover } ~lo:start ~hi:(start + ilen))
 
 (* Binaries the stitch cannot prove clean (hidden computed-jump regions,
    data islands that decode) must take the serial fallback and still
@@ -208,29 +200,23 @@ let boundaries_match_table binary (agg : Disasm.Aggregate.t) =
   !ok && !n = Disasm.Aggregate.boundary_count agg
 
 (* The aggregates of the four acquisition paths, where each applies: the
-   cold run, the delta path's stitch once its linearly framed chunks
-   validate, the parallel builder's (both materialize from the
-   traversal), and a snapshot restore. *)
+   cold run, the delta path's stitch ([Par_ir.build] at one job over the
+   table its chunk scan filled), the parallel builder's, and a snapshot
+   restore. *)
 let acquisitions ~infer binary =
   let pin_config = Analysis.Ibt.default_config in
   let cold = Disasm.Aggregate.run ~infer binary in
-  let stitched =
-    let decoded = Disasm.Decoded.create binary in
-    let scan = Chunker.scan ~decoded binary in
-    let rec_ = Disasm.Recursive.traverse ~decoded binary in
-    match
-      Array.iter
-        (fun c -> Zipr.Stitch.validate_chunk rec_ c (Zipr.Stitch.local_linear decoded c))
-        scan.Chunker.chunks
-    with
-    | () -> [ Zipr.Stitch.of_recursive ~infer binary rec_ ]
-    | exception Zipr.Stitch.Fallback -> []
-  in
-  let par =
-    match Zipr.Par_ir.build ~jobs:1 ~pin_config ~infer binary with
+  let validated ~jobs ?decoded () =
+    match Zipr.Par_ir.build ~jobs ~pin_config ~infer ?decoded binary with
     | Some ir -> [ ir.Zipr.Ir_construction.aggregate ]
     | None -> []
   in
+  let stitched =
+    let decoded = Disasm.Decoded.create binary in
+    ignore (Chunker.scan ~decoded binary);
+    validated ~jobs:1 ~decoded ()
+  in
+  let par = validated ~jobs:4 () in
   let restored =
     let ir = Zipr.Ir_construction.build_from_aggregate ~pin_config binary cold in
     match Zipr.Ir_construction.restore binary (Zipr.Ir_construction.snapshot ir) with
@@ -298,8 +284,7 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:true prop_par_equals_serial;
     Alcotest.test_case "large member: parallel build, byte-identical" `Slow
       test_large_par_build;
-    Alcotest.test_case "adversarial fragments fall back" `Quick
-      test_adversarial_fragment_falls_back;
+    Alcotest.test_case "validate_span falls back" `Quick test_validate_span_falls_back;
     Alcotest.test_case "dirty binaries fall back byte-identically" `Quick
       test_dirty_binary_fallback_identical;
     Alcotest.test_case "jobs 0 auto-detects" `Quick test_jobs_auto;
